@@ -37,7 +37,10 @@ def _emit(payload) -> None:
 
 
 def _fractions(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    try:
+        return tuple(Fraction(part.strip()) for part in text.split(","))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ring.DomainError(f"bad rational list {text!r}") from exc
 
 
 def _body_from_args(args) -> lattice.Body:
@@ -53,7 +56,7 @@ def _lattice_from_args(args) -> lattice.IntLattice:
 
 
 def _matrix(text: str) -> list[list[int]]:
-    return [[int(x.strip()) for x in row.split(",")] for row in text.split(";")]
+    return [list(ring.ints_from_string(row)) for row in text.split(";")]
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +144,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_eqcount(args) -> int:
+    if args.action in ("eq", "sym") and (args.coeffs is None or args.H is None):
+        raise ring.DomainError(f"eqcount {args.action} needs --coeffs and --H")
     if args.action == "eq":
         count, sols = eqcount.count_eq(ring.ints_from_string(args.coeffs), args.target, args.H, collect=True)
         _emit({"count": count, "solutions": [list(s) for s in sols]})

@@ -1,7 +1,12 @@
 """Additive and multiplicative energies of polynomial images over Z/m.
 
-The histogram route is the production path: a representation function is a
-Counter over residues, an energy is the sum of its squared fibers, and every
+Every additive count here is read off one primitive, `_fold`: the weighted
+additive convolution {x + y: sum a[x] * b[y]} of two integer histograms, over
+Z/m or over Z.  A representation function is the fold of the value histogram
+with itself (or with its negation), an energy is the sum of its squared
+fibres and a sumset size is its number of fibres.  The power-sum counts in
+`vinogradov` and the integer energy in `eqcount` use the same fold.  The one
+multiplicative count, `set_energy_times`, keeps its own product loop.  Every
 identity used downstream (mass H^2, the Cauchy-Schwarz chain H^4 <= sumset*T)
 is checked in exact integer arithmetic.  Quadruple-loop versions exist only
 in the test suite as oracles.
@@ -11,7 +16,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .ring import DomainError, Interval, PolyMod, image_set, poly_values
 
@@ -54,42 +61,70 @@ class EnergyReport:
             raise DomainError("energy_plus exceeds T")
 
 
+def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -> Counter:
+    """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None.
+
+    With m given, the keys of each histogram must be distinct residues mod m.
+    """
+    if len(a) > len(b):
+        a, b = b, a  # the longer histogram runs in the inner loop
+    ys, weights = list(b), list(b.values())
+    unit = all(c == 1 for c in weights)
+    out: Counter[int] = Counter()
+    get = out.get
+    for x, cx in a.items():
+        sums = [x + y for y in ys] if m is None else [(x + y) % m for y in ys]
+        if unit and cx == 1:
+            out.update(sums)  # counts one per sum in C
+        else:
+            # stores the new totals, each read just before it is stored; the
+            # sums of one x are distinct, so none is read after this x wrote it
+            dict.update(out, zip(sums, map(add, map(get, sums, repeat(0)), map(mul, repeat(cx), weights))))
+    return out
+
+
+def _squares(hist: Mapping[int, int]) -> int:
+    return sum(c * c for c in hist.values())
+
+
 def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFunction:
     """R(lambda) = #{(x, y) in I^2 : f(x) +- f(y) = lambda mod m}.
 
     Total mass is H^2 by construction.
     """
-    vals = poly_values(f, interval)
+    hist = Counter(poly_values(f, interval))
     m = f.modulus
-    counts: Counter[int] = Counter()
     if mode == PAIR_SUM:
-        for a in vals:
-            counts.update((a + b) % m for b in vals)
+        other = hist
     elif mode == PAIR_DIFFERENCE:
-        for a in vals:
-            counts.update((a - b) % m for b in vals)
+        other = Counter({(-v) % m: c for v, c in hist.items()})
     else:
         raise DomainError(f"mode must be {PAIR_SUM!r} or {PAIR_DIFFERENCE!r}, got {mode!r}")
-    return RepFunction(m, mode, dict(counts))
+    return RepFunction(m, mode, dict(_fold(hist, other, m)))
 
 
 def energy_T(f: PolyMod, interval: Interval) -> int:
     """T = #{(x,y,z,w) in I^4 : f(x)+f(y) = f(z)+f(w) mod m} = sum_lambda R(lambda)^2."""
-    vals = poly_values(f, interval)
-    m = f.modulus
-    counts: Counter[int] = Counter()
-    for a in vals:
-        counts.update((a + b) % m for b in vals)
-    return sum(c * c for c in counts.values())
+    hist = Counter(poly_values(f, interval))
+    return _squares(_fold(hist, hist, f.modulus))
+
+
+def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
+    """(T, energy_plus, sumset_size) of the values f(1), ..., f(H) mod m.
+
+    Folds the value histogram and the image set once each; the sumset is the
+    support of either fold.
+    """
+    ep = set_energy_plus(values, modulus)
+    hist = Counter(values)
+    pairs = _fold(hist, hist, modulus)
+    return _squares(pairs), ep, len(pairs)
 
 
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
-    pts = sorted({p % modulus for p in points})
-    counts: Counter[int] = Counter()
-    for a in pts:
-        counts.update((a + b) % modulus for b in pts)
-    return sum(c * c for c in counts.values())
+    pts = Counter({p % modulus for p in points})
+    return _squares(_fold(pts, pts, modulus))
 
 
 def set_energy_times(points: Iterable[int], modulus: int) -> int:
@@ -98,7 +133,7 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
     counts: Counter[int] = Counter()
     for a in pts:
         counts.update((a * b) % modulus for b in pts)
-    return sum(c * c for c in counts.values())
+    return _squares(counts)
 
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:
@@ -115,34 +150,28 @@ def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int)
     """E(A, B) = #{(a, a', b, b') in A^2 x B^2 : a + b = a' + b' mod m}."""
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
-    aa = sorted({p % modulus for p in a_points})
-    bb = sorted({p % modulus for p in b_points})
-    counts: Counter[int] = Counter()
-    for a in aa:
-        counts.update((a + b) % modulus for b in bb)
-    return sum(c * c for c in counts.values())
+    aa = Counter({p % modulus for p in a_points})
+    bb = Counter({p % modulus for p in b_points})
+    return _squares(_fold(aa, bb, modulus))
 
 
 def sumset_size(f: PolyMod, interval: Interval) -> int:
     """#(f(I) + f(I)) inside Z/m."""
-    pts = sorted(image_set(f, interval))
-    m = f.modulus
-    seen: set[int] = set()
-    for a in pts:
-        seen.update((a + b) % m for b in pts)
-    return len(seen)
+    pts = Counter(image_set(f, interval))
+    return len(_fold(pts, pts, f.modulus))
 
 
 def energy_report(f: PolyMod, interval: Interval) -> EnergyReport:
-    """Compute every statistic once; K = H^3/T is exact."""
-    t = energy_T(f, interval)
+    """Compute every statistic from one evaluation of f; K = H^3/T is exact."""
+    vals = poly_values(f, interval)
+    t, ep, ss = additive_stats(vals, f.modulus)
     h = interval.H
     return EnergyReport(
         modulus=f.modulus,
         H=h,
         T=t,
-        energy_plus=energy_plus(f, interval),
-        energy_times=energy_times(f, interval),
-        sumset_size=sumset_size(f, interval),
+        energy_plus=ep,
+        energy_times=set_energy_times(vals, f.modulus),
+        sumset_size=ss,
         K=Fraction(h**3, t),
     )

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from .energy import _fold, _squares
 from .lattice import (
     NullspaceRecord,
     WeightedBox,
@@ -152,12 +153,9 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     cs = _clean_coeffs(coeffs)
     if H < 1:
         raise DomainError(f"H must be >= 1, got {H}")
-    vals = [int_poly_eval(cs, x) for x in range(1, H + 1)]
-    pair_sums: Counter = Counter()
-    for a in vals:
-        pair_sums.update(a + b for b in vals)
-    total = sum(c * c for c in pair_sums.values())
-    r0 = sum(c * c for c in Counter(vals).values())
+    hist = Counter(int_poly_eval(cs, x) for x in range(1, H + 1))
+    total = _squares(_fold(hist, hist))
+    r0 = _squares(hist)
     return SymmetricCount(total, r0, total - r0 * r0)
 
 

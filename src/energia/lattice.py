@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .ring import BudgetExceeded, DomainError
+from .ring import BudgetExceeded, DomainError, ints_from_string
 
 MAX_ENUM_DIM = 8
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -45,43 +45,8 @@ def hnf_rows(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     Returns (rows, rank): a staircase with positive pivots, entries above
     each pivot reduced into [0, pivot), zero rows at the bottom.
     """
-    rows = [list(map(int, r)) for r in mat]
-    if not rows:
-        return [], 0
-    nrows, ncols = len(rows), len(rows[0])
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        while True:
-            nz = [i for i in range(r + 1, nrows) if rows[i][c] != 0]
-            if rows[r][c] == 0:
-                if not nz:
-                    break
-                i0 = min(nz, key=lambda i: abs(rows[i][c]))
-                rows[r], rows[i0] = rows[i0], rows[r]
-                continue
-            if not nz:
-                break
-            for i in nz:
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-            nz2 = [i for i in range(r + 1, nrows) if rows[i][c] != 0]
-            if not nz2:
-                break
-            i0 = min(nz2, key=lambda i: abs(rows[i][c]))
-            rows[r], rows[i0] = rows[i0], rows[r]
-        if rows[r][c] != 0:
-            if rows[r][c] < 0:
-                rows[r] = [-a for a in rows[r]]
-            piv = rows[r][c]
-            for i in range(r):
-                q = rows[i][c] // piv
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-    return rows, r
+    rows, _, rank = hnf_with_transform(mat)
+    return rows, rank
 
 
 def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
@@ -402,10 +367,7 @@ class IntLattice:
 
 def lattice_from_string(text: str, den: int = 1) -> IntLattice:
     """Parse semicolon-separated rows of comma-separated integers."""
-    rows = []
-    for part in text.split(";"):
-        rows.append(tuple(int(x.strip()) for x in part.split(",")))
-    return IntLattice(tuple(rows), den)
+    return IntLattice(tuple(ints_from_string(part) for part in text.split(";")), den)
 
 
 def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
@@ -555,13 +517,12 @@ def lattice_points_within(
     body: Body,
     radius: Fraction = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
-    reduce_first: bool = True,
 ) -> list[tuple[int, ...]]:
     """Numerators of all nonzero v in L with body-norm(v) <= radius."""
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
     qw = body.quad_weights()
-    rows = lll_reduce(lat.basis, qw) if reduce_first else [list(r) for r in lat.basis]
+    rows = lll_reduce(lat.basis, qw)
     bound = body.ellipsoid_bound(Fraction(radius)) * lat.den * lat.den
     pts = _fp_points(rows, qw, bound, budget)
     out = []

@@ -108,9 +108,7 @@ def eval_poly(f: PolyMod, x: int) -> int:
 
 def image_set(f: PolyMod, interval: Interval) -> set[int]:
     """{f(x) mod m : x in {1..H}}; requires H <= m so the domain injects into Z/m."""
-    if interval.H > f.modulus:
-        raise DomainError(f"interval length {interval.H} exceeds modulus {f.modulus}")
-    return {eval_poly(f, x) for x in interval}
+    return set(poly_values(f, interval))
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .bounds import fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
-from .energy import energy_plus, energy_T, sumset_size
-from .ring import DomainError, Interval, PolyMod, is_probable_prime
+from .energy import additive_stats
+from .ring import DomainError, Interval, PolyMod, is_probable_prime, poly_values
 
 CSV_COLUMNS = [
     "d", "m", "H", "seed", "coeffs", "T", "energy_plus", "sumset", "K",
@@ -153,10 +153,7 @@ def run_cell(
         f = _random_poly(d, m, rng)
     elif f.degree != d or f.modulus != m:
         raise DomainError("pinned polynomial does not match the cell's (d, m)")
-    iv = Interval(H)
-    t_val = energy_T(f, iv)
-    ep = energy_plus(f, iv)
-    ss = sumset_size(f, iv)
+    t_val, ep, ss = additive_stats(poly_values(f, Interval(H)), m)
     k_val = Fraction(H**3, t_val)
     cs_ok = H**4 <= ss * t_val
     sandwich: Optional[bool] = None

@@ -1,9 +1,13 @@
 """Exact solution counts for systems of power-sum equations.
 
 count_J(d, s, X) counts 2s-tuples (x_1..x_s, y_1..y_s) from X with
-sum x_i^j = sum y_i^j for every j = 1..d.  The production route hashes the
-s-tuple power-sum vectors (O(|X|^s) insertions) and sums squared fiber
-sizes; the genuinely naive 2s-fold loop lives in the test suite.
+sum x_i^j = sum y_i^j for every j = 1..d.  Each power-sum vector
+(v_1..v_d) is packed into the single integer sum v_j * radix^(j-1); the
+packing is linear and injective on every vector compared, so the histogram
+of s-tuple vectors is s layers of the energy module's one additive fold
+(`_fold`) over the packed vectors of single elements, and J is the sum of
+its squared fibres.  count_Ts folds the value histogram mod m the same way.
+The genuinely naive 2s-fold loop lives in the test suite.
 """
 from __future__ import annotations
 
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .energy import _fold, _squares
 from .ring import BudgetExceeded, DomainError, Interval, PolyMod, poly_values
 
 DEFAULT_BUDGET = 10**8
@@ -71,19 +76,24 @@ def _guard(size: int, s: int, budget: int) -> None:
         )
 
 
-def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> Counter:
-    """Histogram of (sum x_i, sum x_i^2, ..., sum x_i^d) over ordered s-tuples."""
-    powers = [tuple(x**j for j in range(1, d + 1)) for x in elements]
-    # fold one tuple coordinate at a time; ordered tuples, so no symmetry factor
-    layer: Counter[tuple[int, ...]] = Counter({(0,) * d: 1})
-    for _ in range(s):
-        nxt: Counter[tuple[int, ...]] = Counter()
-        for vec, cnt in layer.items():
-            for pw in powers:
-                key = tuple(v + p for v, p in zip(vec, pw))
-                nxt[key] += cnt
-        layer = nxt
-    return layer
+def _pack(vec: Sequence[int], radix: int) -> int:
+    return sum(v * radix**i for i, v in enumerate(vec))
+
+
+def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Counter, int]:
+    """Histogram of packed power-sum vectors over ordered s-tuples, and the radix.
+
+    Each component of a difference of two such vectors, or of one vector
+    minus an attainable shift, is at most spread = 2 s max|x|^d in absolute
+    value, so packing with radix 2 * spread + 1 (balanced digits) is
+    injective on everything compared.
+    """
+    radix = 4 * s * max(abs(x) for x in elements) ** d + 1
+    single = Counter(_pack([x**j for j in range(1, d + 1)], radix) for x in elements)
+    hist: Counter[int] = Counter({0: 1})
+    for _ in range(s):  # ordered tuples, so no symmetry factor
+        hist = _fold(hist, single)
+    return hist, radix
 
 
 def count_J(d: int, s: int, elements: Sequence[int], budget: int = DEFAULT_BUDGET) -> int:
@@ -93,8 +103,7 @@ def count_J(d: int, s: int, elements: Sequence[int], budget: int = DEFAULT_BUDGE
     if not xs:
         raise DomainError("X must be nonempty")
     _guard(len(xs), s, budget)
-    hist = _power_sum_histogram(d, s, xs)
-    return sum(c * c for c in hist.values())
+    return _squares(_power_sum_histogram(d, s, xs)[0])
 
 
 def count_I(
@@ -120,14 +129,9 @@ def count_I(
                 f"|shift_{j}| = {abs(v)} exceeds the attainable range s*H^{j} = {s * H**j}"
             )
     _guard(H, s, budget)
-    hist = _power_sum_histogram(d, s, range(1, H + 1))
-    total = 0
-    for vec, cnt in hist.items():
-        other = tuple(v - w for v, w in zip(vec, lam))
-        c2 = hist.get(other)
-        if c2:
-            total += cnt * c2
-    return total
+    hist, radix = _power_sum_histogram(d, s, range(1, H + 1))
+    shift = _pack(lam, radix)
+    return sum(c * hist.get(k - shift, 0) for k, c in hist.items())
 
 
 def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGET) -> int:
@@ -135,15 +139,11 @@ def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGE
     _check_ds(1, s)
     vals = poly_values(f, interval)
     _guard(len(vals), s, budget)
-    m = f.modulus
+    hist = Counter(vals)
     layer: Counter[int] = Counter({0: 1})
     for _ in range(s):
-        nxt: Counter[int] = Counter()
-        for total, cnt in layer.items():
-            for v in vals:
-                nxt[(total + v) % m] += cnt
-        layer = nxt
-    return sum(c * c for c in layer.values())
+        layer = _fold(layer, hist, f.modulus)
+    return _squares(layer)
 
 
 @dataclass(frozen=True)

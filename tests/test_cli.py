@@ -1,6 +1,8 @@
 """End-to-end tests of the command line front end."""
 import json
 
+import pytest
+
 from energia import charsum, cli, vinogradov
 from energia.sweep import CSV_COLUMNS
 
@@ -252,3 +254,21 @@ def test_domain_error_exit_code(capsys):
     rc, _, err = _run(capsys, ["energy", "--modulus", "1", "--poly", "0,1", "--H", "2"])
     assert rc == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lattice", "bv", "--matrix", "1,2,x"],
+    ["lattice", "measure", "--matrix", "1,2;3,y", "--eps", "1/4,1/4"],
+    ["lattice", "minima", "--basis", "1,0;0,z", "--box", "1,1"],
+    ["lattice", "minima", "--basis", "1,0;0,1", "--box", "1/0,1"],
+    ["lattice", "minima", "--basis", "1,0;0,1", "--box", "1,half"],
+    ["lattice", "measure", "--matrix", "1,2", "--eps", "1/0"],
+    ["eqcount", "eq", "--coeffs", "0,0,1", "--target", "3"],
+    ["eqcount", "sym", "--coeffs", "0,0,1"],
+    ["eqcount", "eq", "--H", "5", "--target", "3"],
+])
+def test_parse_errors_exit_2_without_traceback(capsys, argv):
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err and out == ""

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,3 +126,36 @@ def test_set_energies_reject_small_modulus():
 def test_multiplicative_energy_unit_group():
     # squares of {1..4} mod 5 cover {1,4}; multiplicative energy of {1,4} mod 5
     assert set_energy_times({1, 4}, 5) == oracles.set_energy_times_quadruple([1, 4], 5)
+
+
+# H = m puts every residue class in the interval; the composite moduli with
+# high powers collide heavily
+REPORT_CASES = [
+    ((0, 0, 1), 7, 7),
+    ((3, 1, 0, 1), 11, 11),
+    ((0, 0, 1), 12, 12),
+    ((0, 0, 0, 0, 1), 16, 16),
+    ((1, 0, 2), 18, 13),
+    ((0, 0, 0, 1), 9, 9),
+    ((5, 0, 1), 1009, 17),
+]
+
+
+@pytest.mark.parametrize("coeffs, m, H", REPORT_CASES)
+def test_report_matches_standalone_and_oracles(coeffs, m, H):
+    f, iv = PolyMod(coeffs, m), Interval(H)
+    img = sorted(image_set(f, iv))
+    rep = energy_report(f, iv)
+    assert rep.T == energy_T(f, iv) == oracles.energy_T_quadruple(coeffs, m, H)
+    assert rep.energy_plus == energy_plus(f, iv) == oracles.set_energy_plus_quadruple(img, m)
+    assert rep.energy_times == energy_times(f, iv) == oracles.set_energy_times_quadruple(img, m)
+    assert rep.sumset_size == sumset_size(f, iv) == oracles.sumset_size_naive(coeffs, m, H)
+    assert rep.K == Fraction(H**3, rep.T)
+
+
+@pytest.mark.parametrize("coeffs, m, H", REPORT_CASES)
+def test_rep_function_difference_matches_pair_count(coeffs, m, H):
+    vals = [oracles.poly_mod(coeffs, x, m) for x in range(1, H + 1)]
+    rep = rep_function(PolyMod(coeffs, m), Interval(H), PAIR_DIFFERENCE)
+    assert rep.counts == dict(Counter((a - b) % m for a in vals for b in vals))
+    assert rep.mass() == H * H

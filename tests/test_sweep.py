@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from energia.cli import json_ready
-from energia.ring import DomainError, PolyMod
+from energia.energy import energy_plus, energy_T, sumset_size
+from energia.ring import DomainError, Interval, PolyMod, image_set
 from energia.sweep import (
     CSV_COLUMNS,
     CellResult,
@@ -16,6 +17,8 @@ from energia.sweep import (
     run_sweep,
     write_csv,
 )
+
+import oracles
 
 SMALL = SweepConfig(degrees=(2,), moduli=(7, 101), lengths=(2, 3, 5), seeds=(0, 1), master="t")
 
@@ -165,3 +168,19 @@ def test_hard_failure_property():
     assert CellResult(**base, cs_ok=False).hard_failure
     assert CellResult(**base, cs_ok=True, sandwich_ok=False).hard_failure
     assert not CellResult(**base, cs_ok=True, sandwich_ok=None).hard_failure
+
+
+@pytest.mark.parametrize("coeffs, m, H", [
+    ((0, 0, 1), 7, 7),
+    ((0, 0, 1), 12, 12),
+    ((0, 0, 0, 1), 9, 9),
+    ((2, 0, 0, 1), 16, 11),
+    ((4, 1, 1), 101, 30),
+])
+def test_run_cell_matches_standalone_and_oracles(coeffs, m, H):
+    f, iv = PolyMod(coeffs, m), Interval(H)
+    cell = run_cell(f.degree, m, H, 0, f=f)
+    img = sorted(image_set(f, iv))
+    assert cell.T == energy_T(f, iv) == oracles.energy_T_quadruple(coeffs, m, H)
+    assert cell.energy_plus == energy_plus(f, iv) == oracles.set_energy_plus_quadruple(img, m)
+    assert cell.sumset == sumset_size(f, iv) == oracles.sumset_size_naive(coeffs, m, H)

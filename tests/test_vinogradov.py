@@ -117,3 +117,19 @@ def test_check_J_bound_set_and_sweep():
     assert abs(sweep.slope) < 1e-9
     with pytest.raises(DomainError):
         check_J_bound(2)
+
+
+@pytest.mark.parametrize("xs", [(0,), (0, 1), (-2, 0, 1, 3), (-3, -1, 0), (-5, 0, 5), (-4, -2, -1)])
+def test_count_J_cubic_sets_with_zero_and_negatives(xs):
+    # packed keys must stay injective when components are zero or negative
+    assert count_J(3, 3, xs) == oracles.count_J_recursive(3, 3, list(xs))
+
+
+@pytest.mark.parametrize("d, s, H", [(1, 2, 4), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+def test_count_I_at_the_shift_boundary(d, s, H):
+    # |shift_j| = s * H^j is the largest accepted shift and is never attained
+    edge = [s * H**j for j in range(1, d + 1)]
+    near = [s * (H**j - 1) for j in range(1, d + 1)]
+    for lam in (edge, [-v for v in edge], [(-1) ** j * v for j, v in enumerate(edge)], near,
+                [-v for v in near]):
+        assert count_I(d, s, H, lam) == oracles.count_I_recursive(d, s, H, lam)
