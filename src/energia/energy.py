@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .ring import DomainError, Interval, PolyMod, image_set, poly_values
@@ -62,29 +60,38 @@ class EnergyReport:
 
 
 def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -> Counter:
-    """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None.
-
-    With m given, the keys of each histogram must be distinct residues mod m.
-    """
+    """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None."""
     if len(a) > len(b):
         a, b = b, a  # the longer histogram runs in the inner loop
-    ys, weights = list(b), list(b.values())
-    unit = all(c == 1 for c in weights)
+    unit = all(c == 1 for c in b.values())
     out: Counter[int] = Counter()
-    get = out.get
     for x, cx in a.items():
-        sums = [x + y for y in ys] if m is None else [(x + y) % m for y in ys]
         if unit and cx == 1:
-            out.update(sums)  # counts one per sum in C
+            out.update([x + y for y in b] if m is None else [(x + y) % m for y in b])
         else:
-            # stores the new totals, each read just before it is stored; the
-            # sums of one x are distinct, so none is read after this x wrote it
-            dict.update(out, zip(sums, map(add, map(get, sums, repeat(0)), map(mul, repeat(cx), weights))))
+            for y, cy in b.items():
+                out[x + y if m is None else (x + y) % m] += cx * cy
     return out
 
 
-def _squares(hist: Mapping[int, int]) -> int:
-    return sum(c * c for c in hist.values())
+def _squares(counts: Mapping[int, int]) -> int:
+    """Sum of squared fibres of a histogram: the energy of the fold it came from."""
+    return sum(c * c for c in counts.values())
+
+
+def set_energy_plus(points: Iterable[int], modulus: int) -> int:
+    """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
+    pts = Counter({p % modulus for p in points})
+    return _squares(_fold(pts, pts, modulus))
+
+
+def set_energy_times(points: Iterable[int], modulus: int) -> int:
+    """Multiplicative energy of a set of residues: quadruples with ab = cd mod m."""
+    pts = sorted({p % modulus for p in points})
+    counts: Counter[int] = Counter()
+    for a in pts:
+        counts.update((a * b) % modulus for b in pts)
+    return _squares(counts)
 
 
 def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFunction:
@@ -119,21 +126,6 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     hist = Counter(values)
     pairs = _fold(hist, hist, modulus)
     return _squares(pairs), ep, len(pairs)
-
-
-def set_energy_plus(points: Iterable[int], modulus: int) -> int:
-    """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
-    pts = Counter({p % modulus for p in points})
-    return _squares(_fold(pts, pts, modulus))
-
-
-def set_energy_times(points: Iterable[int], modulus: int) -> int:
-    """Multiplicative energy of a set of residues: quadruples with ab = cd mod m."""
-    pts = sorted({p % modulus for p in points})
-    counts: Counter[int] = Counter()
-    for a in pts:
-        counts.update((a * b) % modulus for b in pts)
-    return _squares(counts)
 
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:
