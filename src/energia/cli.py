@@ -43,6 +43,13 @@ def _fractions(text: str) -> tuple[Fraction, ...]:
         raise ring.DomainError(f"bad rational list {text!r}") from exc
 
 
+def _require(args, *names: str) -> None:
+    """DomainError naming every flag among names that was not given."""
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise ring.DomainError(f"{args.command} {args.action} needs {' and '.join(missing)}")
+
+
 def _body_from_args(args) -> lattice.Body:
     if getattr(args, "box", None):
         return lattice.WeightedBox(_fractions(args.box))
@@ -114,13 +121,16 @@ def _cmd_vinogradov(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.action == "bv":
+        _require(args, "matrix")
         _emit(lattice.bv_small_solutions(_matrix(args.matrix)))
         return 0
     if args.action == "measure":
+        _require(args, "matrix", "eps")
         _emit(lattice.fractional_measure(
             _matrix(args.matrix), _fractions(args.eps), samples=args.samples, seed=args.seed,
         ))
         return 0
+    _require(args, "basis")
     lat = _lattice_from_args(args)
     if args.action == "dual":
         dual = lattice.dual_lattice(lat)
@@ -144,8 +154,12 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_eqcount(args) -> int:
-    if args.action in ("eq", "sym") and (args.coeffs is None or args.H is None):
-        raise ring.DomainError(f"eqcount {args.action} needs --coeffs and --H")
+    if args.action in ("eq", "sym"):
+        _require(args, "coeffs", "H")
+    elif args.action == "constant":
+        _require(args, "d")
+    elif args.action == "cong":
+        _require(args, "poly", "modulus", "H")
     if args.action == "eq":
         count, sols = eqcount.count_eq(ring.ints_from_string(args.coeffs), args.target, args.H, collect=True)
         _emit({"count": count, "solutions": [list(s) for s in sols]})
@@ -163,12 +177,16 @@ def _cmd_eqcount(args) -> int:
 
 def _cmd_charsum(args) -> int:
     if args.action == "region":
+        _require(args, "zeta", "xi", "d")
         params = charsum.RegimeParams(Fraction(args.zeta), Fraction(args.xi), args.d, args.r or 1)
         _emit(charsum.admissible_exponents(params))
         return 0
     if args.action == "bound":
+        _require(args, "S", "H", "p", "E", "r")
         _emit(charsum.bilinear_energy_bound(args.S, args.H, args.p, args.E, args.r))
         return 0
+    needs = {"weil": ("coeffs",), "bilinear": ("H",), "primes": ("poly", "Q", "R")}
+    _require(args, "p", *needs.get(args.action, ()))
     table = charsum.CharTable.build(args.p, args.k)
     if args.action == "weil":
         _emit(charsum.complete_sum_poly(table, ring.poly_from_string(args.coeffs, args.p)))

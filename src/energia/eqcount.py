@@ -3,9 +3,11 @@
 The central routine turns a congruence f(n) = f(m) + shift (mod m) over a
 short interval into a genuine integer equation: a short vector in the lattice
 of coefficient relations pins the power differences down to a single integer
-value, and the integer equation is then solved exactly by factoring.  The
-count is always recomputed by brute force as well; the two totals must agree
-or the call fails loudly.
+value, and the integer equation is then solved exactly by a divisor search
+inside the box: each shift n - m divides the value and each root divides a
+constant term, and only divisors up to H are ever tried.  The count is
+always recomputed by brute force as well; the two totals must agree or the
+call fails loudly.
 """
 from __future__ import annotations
 
@@ -73,6 +75,35 @@ def integer_roots(coeffs: Sequence[int]) -> set[int]:
     return roots
 
 
+def _divisors_upto(n: int, bound: int) -> list[int]:
+    """Positive t <= bound that divide n (all of them when n = 0).
+
+    O(min(bound, sqrt|n|)) steps and no factorization: scan up to bound, or
+    pair each divisor below sqrt|n| with its cofactor.
+    """
+    n = abs(n)
+    root = math.isqrt(n)
+    if n == 0 or bound <= root:
+        return [t for t in range(1, bound + 1) if n % t == 0]
+    small = [t for t in range(1, root + 1) if n % t == 0]
+    return sorted({x for t in small for x in (t, n // t) if x <= bound})
+
+
+def _roots_between(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Integer roots in [lo, hi], lo >= 1, of a polynomial that is not constant.
+
+    A nonzero root divides the lowest nonzero coefficient, so only its
+    divisors up to hi are tried.
+    """
+    z = 0
+    while coeffs[z] == 0:
+        z += 1
+    cs = coeffs[z:]
+    if len(cs) == 1:
+        return []  # c x^z has only the root 0
+    return [r for r in _divisors_upto(cs[0], hi) if r >= lo and int_poly_eval(cs, r) == 0]
+
+
 def _clean_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
     cs = [int(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
@@ -90,24 +121,19 @@ def count_eq(
 ):
     """#{(n, m) in [1,H]^2 : f(n) - f(m) = target} over the integers.
 
-    Divisor method: n - m must divide a nonzero target, and for each divisor
-    t the quotient (f(m+t) - f(m))/t is a polynomial with integer
-    coefficients, so its roots hide among divisors of its constant term.
+    Divisor method inside the box: a shift t = n - m != 0 has |t| < H and
+    divides the target, and the quotient (f(m+t) - f(m))/t is a polynomial
+    with integer coefficients, so m is a root hiding among the divisors of
+    its constant term that lie in [1, H].  Both searches scan at most
+    min(H, sqrt) candidates; the target is never factored.
     With collect=True also returns the sorted tuple of solution pairs.
     """
     cs = _clean_coeffs(coeffs)
     if H < 1:
         raise DomainError(f"H must be >= 1, got {H}")
-    sols: set[tuple[int, int]] = set()
+    sols = {(n, n) for n in range(1, H + 1)} if target == 0 else set()
     extra = 0  # uncollected bulk solutions (only when the quotient is constant)
-    if target == 0:
-        shifts = [t for t in range(-(H - 1), H) if t]
-        for n in range(1, H + 1):
-            sols.add((n, n))
-    else:
-        shifts = [t for t in divisors_of(abs(target)) if t <= H - 1]
-        shifts = [s for t in shifts for s in (t, -t)]
-    for t in shifts:
+    for t in (s for t in _divisors_upto(target, H - 1) for s in (t, -t)):
         shifted = poly_shift_coeffs(cs, t)
         diff = [a - b for a, b in zip(shifted, cs)]
         q = []
@@ -115,9 +141,8 @@ def count_eq(
             if x % t:
                 raise DomainError("difference quotient not integral")  # unreachable
             q.append(x // t)
-        rhs = 0 if target == 0 else target // t
         lo, hi = max(1, 1 - t), min(H, H - t)
-        eqn = [q[0] - rhs] + q[1:]
+        eqn = [q[0] - target // t] + q[1:]
         if all(c == 0 for c in eqn[1:]):
             if eqn[0] == 0 and hi >= lo:
                 if collect:
@@ -126,9 +151,8 @@ def count_eq(
                 else:
                     extra += hi - lo + 1
             continue
-        for m in integer_roots(eqn):
-            if lo <= m <= hi:
-                sols.add((m + t, m))
+        for m in _roots_between(eqn, lo, hi):
+            sols.add((m + t, m))
     count = len(sols) + extra
     if collect:
         return count, tuple(sorted(sols))

@@ -272,7 +272,7 @@ class DualBody:
         return WeightedBox(self.coefficients)
 
 
-Body = Union[WeightedBox, DualBody]
+Body = WeightedBox | DualBody
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,15 @@ def _gram_schmidt(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
 
 
 def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Exact LLL under the diagonal quadratic form qw; same lattice, nicer basis."""
+    """Exact LLL under the diagonal quadratic form qw; same lattice, nicer basis.
+
+    Gram-Schmidt is computed once and then updated in place (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 2.6.3): size reduction
+    b_i -= q b_j changes only row i of mu and no squared length, and a swap
+    of b_{i-1}, b_i changes mu and the two squared lengths by the standard
+    exact formulas.  Arithmetic is in Fractions, so every mu, every test and
+    the returned basis equal those of a full recomputation after each step.
+    """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
     if k <= 1:
@@ -425,14 +433,28 @@ def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fra
     mu, bn, _ = _gram_schmidt(b, qw)
     i = 1
     while i < k:
+        mi = mu[i]
         for j in range(i - 1, -1, -1):
-            q = round(mu[i][j])
+            q = round(mi[j])
             if q:
                 b[i] = [a - q * c for a, c in zip(b[i], b[j])]
-                mu, bn, _ = _gram_schmidt(b, qw)
-        if bn[i] < (delta - mu[i][i - 1] * mu[i][i - 1]) * bn[i - 1]:
+                mj = mu[j]
+                for jj in range(j):
+                    mi[jj] -= q * mj[jj]
+                mi[j] -= q
+        m1 = mi[i - 1]
+        if bn[i] < (delta - m1 * m1) * bn[i - 1]:
+            big = bn[i] + m1 * m1 * bn[i - 1]
+            m1_new = m1 * bn[i - 1] / big
+            bn[i] = bn[i - 1] * bn[i] / big
+            bn[i - 1] = big
             b[i - 1], b[i] = b[i], b[i - 1]
-            mu, bn, _ = _gram_schmidt(b, qw)
+            mu[i - 1][: i - 1], mi[: i - 1] = mi[: i - 1], mu[i - 1][: i - 1]
+            mi[i - 1] = m1_new
+            for row in mu[i + 1 :]:
+                t = row[i]
+                row[i] = row[i - 1] - m1 * t
+                row[i - 1] = t + m1_new * row[i]
             i = max(i - 1, 1)
         else:
             i += 1
@@ -512,6 +534,19 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
+def _points_within(rows: Sequence[Sequence[int]], den: int, body: Body, qw: Sequence[Fraction], radius: Fraction, budget: int):
+    """(numerator, body-norm) of every nonzero v = t . rows / den with norm <= radius."""
+    bound = body.ellipsoid_bound(radius) * den * den
+    scale = Fraction(1, den)
+    out = []
+    for v, _ in _fp_points(rows, qw, bound, budget):
+        if any(v):
+            nrm = body.norm([x * scale for x in v])
+            if nrm <= radius:
+                out.append((v, nrm))
+    return out
+
+
 def lattice_points_within(
     lat: IntLattice,
     body: Body,
@@ -523,14 +558,7 @@ def lattice_points_within(
         raise DomainError("body dimension does not match the lattice")
     qw = body.quad_weights()
     rows = lll_reduce(lat.basis, qw)
-    bound = body.ellipsoid_bound(Fraction(radius)) * lat.den * lat.den
-    pts = _fp_points(rows, qw, bound, budget)
-    out = []
-    scale = Fraction(1, lat.den)
-    for v, _ in pts:
-        if any(v) and body.norm([x * scale for x in v]) <= radius:
-            out.append(v)
-    return out
+    return [v for v, _ in _points_within(rows, lat.den, body, qw, Fraction(radius), budget)]
 
 
 @dataclass(frozen=True)
@@ -610,16 +638,22 @@ def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BU
 
 def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
     """Numerator of a nonzero lattice vector of body-norm <= 1, of least norm
-    (ties broken lexicographically after sign normalization), or None."""
-    pts = lattice_points_within(lat, body, Fraction(1), budget)
+    (ties broken lexicographically after sign normalization), or None.
+
+    LLL runs once; enumeration then goes only out to the least body-norm of
+    a reduced basis row (or 1, if that is smaller), since the shortest vector
+    and every vector tied with it lie inside that radius.
+    """
+    if body.dim != lat.dim:
+        raise DomainError("body dimension does not match the lattice")
+    qw = body.quad_weights()
+    rows = lll_reduce(lat.basis, qw)
+    scale = Fraction(1, lat.den)
+    radius = min([Fraction(1)] + [body.norm([x * scale for x in r]) for r in rows])
+    pts = _points_within(rows, lat.den, body, qw, radius, budget)
     if not pts:
         return None
-    scale = Fraction(1, lat.den)
-    best = min(
-        (_canonical_sign(v) for v in pts),
-        key=lambda v: (body.norm([x * scale for x in v]), v),
-    )
-    return best
+    return min((nrm, _canonical_sign(v)) for v, nrm in pts)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ recursion, equation counts try every pair, and lattice questions scan a
 coordinate box and test membership by rational elimination.  Slow on
 purpose; every frozen constant in the test suite was produced by one of
 these functions.
+
+The last section keeps the package's earlier lattice routines as references
+for the faster ones that replaced them: LLL that recomputes Gram-Schmidt
+after every row operation, and the shortest vector taken over every lattice
+point out to radius 1.
 """
 from __future__ import annotations
 
@@ -135,11 +140,12 @@ def count_Ts_recursive(coeffs: Sequence[int], m: int, H: int, s: int) -> int:
 
 
 def count_eq_pairs(coeffs: Sequence[int], target: int, H: int) -> tuple[int, list[tuple[int, int]]]:
+    vals = [poly_int(coeffs, x) for x in range(1, H + 1)]
     sols = [
         (n, m)
-        for n in range(1, H + 1)
-        for m in range(1, H + 1)
-        if poly_int(coeffs, n) - poly_int(coeffs, m) == target
+        for n, fn in enumerate(vals, start=1)
+        for m, fm in enumerate(vals, start=1)
+        if fn - fm == target
     ]
     return len(sols), sols
 
@@ -258,3 +264,65 @@ def minima_by_scan(
             if len(minima) == n:
                 break
     return minima, len(found)
+
+
+# --- earlier lattice routines, kept as references --------------------------
+
+
+def gram_schmidt_plain(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
+    """mu and squared Gram-Schmidt lengths of the rows under the diagonal form qw."""
+    k = len(rows)
+    bstar: list[list[Fraction]] = []
+    bn: list[Fraction] = []
+    mu = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        vec = [Fraction(x) for x in rows[i]]
+        for j in range(i):
+            mu[i][j] = sum(w * x * y for w, x, y in zip(qw, rows[i], bstar[j])) / bn[j]
+            vec = [a - mu[i][j] * b for a, b in zip(vec, bstar[j])]
+        bstar.append(vec)
+        bn.append(sum(w * x * x for w, x in zip(qw, vec)))
+    return mu, bn
+
+
+def lll_recompute(
+    rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)
+) -> list[list[int]]:
+    """Exact LLL that recomputes Gram-Schmidt from scratch after every row operation."""
+    b = [list(map(int, r)) for r in rows]
+    k = len(b)
+    if k <= 1:
+        return b
+    mu, bn = gram_schmidt_plain(b, qw)
+    i = 1
+    while i < k:
+        for j in range(i - 1, -1, -1):
+            q = round(mu[i][j])
+            if q:
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                mu, bn = gram_schmidt_plain(b, qw)
+        if bn[i] < (delta - mu[i][i - 1] ** 2) * bn[i - 1]:
+            b[i - 1], b[i] = b[i], b[i - 1]
+            mu, bn = gram_schmidt_plain(b, qw)
+            i = max(i - 1, 1)
+        else:
+            i += 1
+    return b
+
+
+def shortest_vector_full_radius(lat, body) -> Optional[tuple[int, ...]]:
+    """Least nonzero vector of body-norm <= 1 among every lattice point out to radius 1.
+
+    Ties go to the lexicographically least sign-normalized vector, the
+    first nonzero entry made positive.
+    """
+    from energia.lattice import lattice_points_within
+
+    best = None
+    for v in lattice_points_within(lat, body, Fraction(1)):
+        lead = next(x for x in v if x)
+        cv = tuple(v) if lead > 0 else tuple(-x for x in v)
+        key = (body.norm([Fraction(x, lat.den) for x in cv]), cv)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]

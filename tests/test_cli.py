@@ -266,6 +266,11 @@ def test_domain_error_exit_code(capsys):
     ["eqcount", "eq", "--coeffs", "0,0,1", "--target", "3"],
     ["eqcount", "sym", "--coeffs", "0,0,1"],
     ["eqcount", "eq", "--H", "5", "--target", "3"],
+    ["lattice", "bv"],
+    ["lattice", "minima", "--box", "1,1"],
+    ["eqcount", "cong", "--H", "3"],
+    ["charsum", "weil"],
+    ["eqcount", "constant"],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)

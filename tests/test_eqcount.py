@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,51 @@ def test_count_eq_bulk_branch_uncollected():
     assert count_eq((0, 2), 4, 10) == oracles.count_eq_pairs((0, 2), 4, 10)[0]
     count, sols = count_eq((0, 2), 4, 10, collect=True)
     assert count == len(sols) == 8
+
+
+def test_count_eq_divisor_search_matches_pair_oracle():
+    # 720720 = 2^4 3^2 5 7 11 13 has 240 divisors; target 0 takes every shift;
+    # negative leading coefficients flip the sign of every quotient
+    cases = [
+        ((0, 0, 1), 720720, 2000),
+        ((0, 1, 1), 720720, 1200),
+        ((3, -7, 0, 1), 720720, 300),
+        ((3, -7, 0, 1), 9232740, 300),  # f(210) - f(30)
+        ((0, 0, -1), -720720, 2000),
+        ((5, 0, -2), 720720 * 2, 1500),
+        ((0, -4, 1), 0, 300),
+        ((1, 6, -1), 0, 200),
+        ((0, 0, 0, -1), 0, 150),
+        ((2, -3, 0, -1), -720720, 400),
+        ((2, -3, 0, -1), 13608540, 400),  # f(60) - f(240)
+        ((0, 12, -7, 1), 0, 60),
+    ]
+    for coeffs, target, H in cases:
+        want, pairs = oracles.count_eq_pairs(coeffs, target, H)
+        got, sols = count_eq(coeffs, target, H, collect=True)
+        assert (got, list(sols)) == (want, sorted(pairs)), (coeffs, target, H)
+        assert count_eq(coeffs, target, H) == want
+    assert count_eq((0, 0, 1), 720720, 2000) > 0
+
+
+def test_count_congruence_certified_at_large_moduli():
+    f_coeffs = (5, 3, 1)
+    for m in (10**12, 10**18, 10**30):
+        t0 = time.perf_counter()
+        res = count_congruence(PolyMod(f_coeffs, m), 3, 2)
+        dt = time.perf_counter() - t0
+        assert res.method == "pipeline" and res.certificate is not None
+        assert res.count == oracles.count_congruence_pairs(f_coeffs, m, 3, 2)[0]
+        assert dt < 1.0, (m, dt)
+
+
+def test_count_eq_prime_target_without_factoring():
+    p = _prime_at_least(10**16)
+    t0 = time.perf_counter()
+    count = count_eq((0, 0, 1), p, 50)
+    dt = time.perf_counter() - t0
+    assert count == 0  # n^2 - m^2 = p needs n - m = 1, n + m = p
+    assert dt < 0.1, dt
 
 
 def test_count_symmetric():

@@ -1,5 +1,9 @@
+import gc
+import importlib
 import math
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -31,6 +35,7 @@ from energia.lattice import (
     to_fraction,
     transference_check,
 )
+from energia.eqcount import in_regime
 from energia.ring import DomainError
 
 import oracles
@@ -206,6 +211,58 @@ def test_lll_preserves_lattice():
         qw = tuple(Fraction(1) for _ in range(n))
         red = lll_reduce(lat.basis, qw)
         assert IntLattice(tuple(tuple(r) for r in red)).canonical() == lat.canonical()
+
+
+def _pipeline_box(d, m, H):
+    return WeightedBox(tuple(Fraction(m, 100 * d * H**j) for j in range(1, d + 1)))
+
+
+def test_lll_in_place_matches_recompute_oracle():
+    rng = random.Random(2603)
+    cases = []
+    for k in range(240):
+        n = 2 + k % 3
+        rows = [[rng.randint(-10**9, 10**9) for _ in range(n)] for _ in range(n)]
+        if det_int(rows) == 0:
+            continue
+        if k % 2:
+            qw = WeightedBox(tuple(Fraction(rng.randrange(1, 10**4), rng.randrange(1, 100)) for _ in range(n))).quad_weights()
+        else:
+            qw = (Fraction(1),) * n
+        cases.append((rows, qw))
+    for k in range(90):
+        d = 2 + k % 3
+        m = rng.randrange(2, 10 ** rng.choice((3, 6, 9, 12, 18)))
+        lat = congruence_lattice([rng.randrange(m) for _ in range(d)], m)
+        cases.append((lat.basis, _pipeline_box(d, m, rng.randrange(1, 5)).quad_weights()))
+    assert len(cases) >= 300
+    for rows, qw in cases:
+        assert lll_reduce(rows, qw) == oracles.lll_recompute(rows, qw)
+
+
+def test_shortest_vector_matches_full_radius_oracle():
+    rng = random.Random(2604)
+    found = 0
+    for k in range(220):
+        d = 2 + k % 2
+        H = rng.randrange(1, 5) if d == 2 else rng.randrange(1, 3)
+        m_min = 1
+        while not in_regime(d, m_min, H):
+            m_min *= 2
+        m = rng.randrange(m_min, 4 * m_min)
+        assert in_regime(d, m, H)
+        lat = congruence_lattice([rng.randrange(m) for _ in range(d - 1)] + [1], m)
+        box = _pipeline_box(d, m, H)
+        want = oracles.shortest_vector_full_radius(lat, box)
+        assert want is not None  # Minkowski guarantees a point in regime
+        assert shortest_vector_in(lat, box) == want
+        found += 1
+    # shrunken boxes, where the least basis row is longer than 1 and None can come back
+    for k in range(40):
+        lat = _random_lattice(2 + k % 2, rng)
+        box = WeightedBox(tuple(Fraction(rng.randrange(1, 9), rng.randrange(1, 9)) for _ in range(lat.dim)))
+        assert shortest_vector_in(lat, box) == oracles.shortest_vector_full_radius(lat, box)
+    assert found >= 200
 
 
 # --- minima ------------------------------------------------------------------
@@ -393,6 +450,29 @@ def test_fractional_measure_validation():
         fractional_measure([[1, 0], [0, 1]], ["3/4", "1/4"])
     with pytest.raises(DomainError):
         fractional_measure([[1, 0], [0, 1]], [0.25, 0.25])
+
+
+def test_fresh_import_releases_old_classes():
+    # a module-level typing.Union caches its arguments, and would keep every
+    # earlier import's classes (and through them the module) alive
+    saved = {k: v for k, v in sys.modules.items() if k == "energia" or k.startswith("energia.")}
+
+    def fresh():
+        for k in [k for k in sys.modules if k == "energia" or k.startswith("energia.")]:
+            del sys.modules[k]
+        importlib.import_module("energia.cli")
+        return sys.modules["energia.lattice"]
+
+    try:
+        first = weakref.ref(fresh().WeightedBox)
+        second = fresh()
+        gc.collect()
+        assert first() is None
+        assert second.Body.__args__ == (second.WeightedBox, second.DualBody)
+    finally:
+        for k in [k for k in sys.modules if k == "energia" or k.startswith("energia.")]:
+            del sys.modules[k]
+        sys.modules.update(saved)
 
 
 def test_dimension_guard():
