@@ -15,9 +15,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .ring import DomainError, PolyMod, factorize, inv_mod, is_probable_prime, primes_up_to
+from .ring import (
+    BudgetExceeded,
+    DomainError,
+    PolyMod,
+    factorize,
+    inv_mod,
+    is_probable_prime,
+    primes_up_to,
+)
 
 RatLike = Union[int, str, Fraction]
+TABLE_BUDGET = 10**6  # entries of a discrete-log table
 
 
 def _frac(x: RatLike) -> Fraction:
@@ -39,6 +48,24 @@ def smallest_primitive_root(p: int) -> int:
         g += 1
 
 
+def _dlog_table(p: int) -> tuple[int, list[int]]:
+    """(g, table) with table[g^a mod p] = a for the smallest primitive root g.
+
+    table[0] = -1.  Refuses p above TABLE_BUDGET before allocating.
+    """
+    if p > TABLE_BUDGET:
+        raise BudgetExceeded(
+            f"a discrete-log table mod {p} needs {p} entries, over the budget {TABLE_BUDGET}"
+        )
+    g = smallest_primitive_root(p)
+    table = [-1] * p
+    val = 1
+    for a in range(p - 1):
+        table[val] = a
+        val = val * g % p
+    return g, table
+
+
 @dataclass(frozen=True)
 class CharTable:
     """chi(generator^a) = exp(2 pi i * order_index * a / (p-1)); chi(0) = 0."""
@@ -55,12 +82,7 @@ class CharTable:
         k = (p - 1) // 2 if order_index is None else order_index % (p - 1)
         if k == 0:
             raise DomainError("principal character is not supported")
-        g = smallest_primitive_root(p)
-        table = [-1] * p
-        val = 1
-        for a in range(p - 1):
-            table[val] = a
-            val = val * g % p
+        g, table = _dlog_table(p)
         return cls(p, k, g, tuple(table))
 
     @property

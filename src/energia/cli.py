@@ -36,11 +36,15 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _fractions(text: str) -> tuple[Fraction, ...]:
+def _fraction(text: str) -> Fraction:
     try:
-        return tuple(Fraction(part.strip()) for part in text.split(","))
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ring.DomainError(f"bad rational list {text!r}") from exc
+        raise ring.DomainError(f"bad rational {text!r}") from exc
+
+
+def _fractions(text: str) -> tuple[Fraction, ...]:
+    return tuple(_fraction(part) for part in text.split(","))
 
 
 def _require(args, *names: str) -> None:
@@ -178,7 +182,7 @@ def _cmd_eqcount(args) -> int:
 def _cmd_charsum(args) -> int:
     if args.action == "region":
         _require(args, "zeta", "xi", "d")
-        params = charsum.RegimeParams(Fraction(args.zeta), Fraction(args.xi), args.d, args.r or 1)
+        params = charsum.RegimeParams(_fraction(args.zeta), _fraction(args.xi), args.d, args.r or 1)
         _emit(charsum.admissible_exponents(params))
         return 0
     if args.action == "bound":

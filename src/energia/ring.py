@@ -19,6 +19,9 @@ class BudgetExceeded(RuntimeError):
     """An exact computation would exceed its configured cost budget."""
 
 
+FACTOR_BUDGET = 10**5  # trial-division steps, each trying two divisors 6k +- 1
+
+
 @dataclass(frozen=True)
 class PolyMod:
     """A polynomial over Z/m of degree >= 1.
@@ -124,7 +127,12 @@ def primes_up_to(n: int) -> list[int]:
 
 
 def factorize(w: int) -> Factorization:
-    """Trial-division factorization of w != 0 (2, 3, then a 6k+-1 wheel)."""
+    """Trial-division factorization of w != 0 (2, 3, then a 6k+-1 wheel).
+
+    Raises BudgetExceeded after FACTOR_BUDGET wheel steps, so every |w| below
+    (6 FACTOR_BUDGET)^2 ~ 3.6e11 factors, and so does any w whose cofactor
+    after its small primes is prime or 1 by then.
+    """
     if w == 0:
         raise DomainError("cannot factor 0")
     n = abs(w)
@@ -138,6 +146,11 @@ def factorize(w: int) -> Factorization:
             factors.append((p, e))
     p = 5
     while p * p <= n:
+        if p > 6 * FACTOR_BUDGET:
+            raise BudgetExceeded(
+                f"factorizing {w}: trial division passed {FACTOR_BUDGET} steps "
+                f"with a cofactor {n} left"
+            )
         for q in (p, p + 2):
             e = 0
             while n % q == 0:

@@ -20,7 +20,8 @@ from energia.charsum import (
     weil_admissible,
     xi_threshold,
 )
-from energia.ring import DomainError, PolyMod, primes_up_to
+from energia import charsum
+from energia.ring import BudgetExceeded, DomainError, PolyMod, primes_up_to
 
 
 def test_primitive_roots():
@@ -190,3 +191,10 @@ def test_regime_params_validation():
     params = RegimeParams("1/4", "1/3", 3, r=2, delta="1/100")
     assert params.zeta == Fraction(1, 4)
     assert params.delta == Fraction(1, 100)
+
+
+def test_table_budget():
+    t = CharTable.build(100003)  # the factoring and table budgets leave p ~ 1e5 alone
+    assert t.dlog[t.generator] == 1 and sorted(t.dlog[1:]) == list(range(100002))
+    with pytest.raises(BudgetExceeded, match="budget"):
+        CharTable.build(charsum.TABLE_BUDGET + 3)  # a prime; refused before allocating

@@ -271,6 +271,10 @@ def test_domain_error_exit_code(capsys):
     ["eqcount", "cong", "--H", "3"],
     ["charsum", "weil"],
     ["eqcount", "constant"],
+    ["charsum", "region", "--zeta", "abc", "--xi", "1/3", "--d", "2"],
+    ["charsum", "region", "--zeta", "1/0", "--xi", "1/3", "--d", "2"],
+    # refused by the table budget before anything is allocated
+    ["charsum", "weil", "--p", "1000000007", "--coeffs", "1,0,1"],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)

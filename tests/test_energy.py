@@ -1,10 +1,12 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from energia import energy
 from energia.energy import (
     PAIR_DIFFERENCE,
     EnergyReport,
@@ -159,3 +161,104 @@ def test_rep_function_difference_matches_pair_count(coeffs, m, H):
     rep = rep_function(PolyMod(coeffs, m), Interval(H), PAIR_DIFFERENCE)
     assert rep.counts == dict(Counter((a - b) % m for a in vals for b in vals))
     assert rep.mass() == H * H
+
+
+# --- the dense backend of the fold, and the discrete-log route -------------
+
+
+def _pair_loop(a, b, m):
+    out = Counter()
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[(x + y) % m] += cx * cy
+    return out
+
+
+def _sparse_fold(a, b, m):
+    with mock.patch.object(energy, "_dense", lambda pairs, m: False):
+        return energy._fold(a, b, m)
+
+
+def _histogram(data, m, max_weight):
+    keys = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    return Counter({k: data.draw(st.integers(1, max_weight)) for k in keys})
+
+
+@given(st.integers(2, 300), st.sampled_from([1, 7, 2**20, 2**70]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dense_fold_matches_sparse_and_pair_loop(m, max_weight, square, data):
+    a = _histogram(data, m, max_weight)
+    b = a if square else _histogram(data, m, max_weight)
+    # sizes from 1 to m on each side put the pair count on both sides of the crossover
+    expected = _pair_loop(a, b, m)
+    assert energy._fold_dense(a, b, m) == expected
+    assert _sparse_fold(a, b, m) == expected
+    assert energy._fold(a, b, m) == expected
+
+
+@pytest.mark.parametrize("m, a, b", [
+    (2, {0: 1, 1: 1}, {0: 1, 1: 1}),
+    (2, {1: 5}, {1: 3}),
+    (12, {x: 1 + x % 5 for x in range(12)}, {x: 1 for x in range(0, 12, 3)}),
+    # 3-byte slots, restrided through 4-byte ones
+    (16, {x: 300 for x in range(16)}, {x: 200 + x for x in range(16)}),
+    # a mass of about 2^90 needs 12-byte slots: the slot-by-slot path
+    (30, {x: 2**40 + x for x in range(30)}, {x: 2**45 - x for x in range(0, 30, 2)}),
+])
+def test_dense_fold_fixed_cases(m, a, b):
+    a, b = Counter(a), Counter(b)
+    expected = _pair_loop(a, b, m)
+    assert energy._fold_dense(a, b, m) == expected
+    assert energy._fold_dense(a, a, m) == _pair_loop(a, a, m)
+    assert energy._fold(a, b, m) == expected
+
+
+def test_dense_fold_runs_at_full_interval_and_composite_moduli():
+    # H = m: every residue is a point, and the energies go through the dense fold
+    for coeffs, m in (((0, 0, 1), 97), ((0, 0, 0, 1), 96), ((3, 1, 0, 1), 60), ((2, 1, 1), 100)):
+        f, iv = PolyMod(coeffs, m), Interval(m)
+        vals = [oracles.poly_mod(coeffs, x, m) for x in range(1, m + 1)]
+        assert energy._dense(len(set(vals)) ** 2, m)
+        pairs = Counter((a + b) % m for a in vals for b in vals)
+        assert rep_function(f, iv).counts == dict(pairs)
+        assert energy_T(f, iv) == sum(c * c for c in pairs.values())
+        assert sumset_size(f, iv) == len({(a + b) % m for a in set(vals) for b in set(vals)})
+
+
+def _route_calls(monkeypatch):
+    calls = []
+    table = energy._dlog_table
+
+    def spy(p):
+        calls.append(p)
+        return table(p)
+
+    monkeypatch.setattr(energy, "_dlog_table", spy)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_multiplicative_energy_log_route_small_primes(monkeypatch, p):
+    calls = _route_calls(monkeypatch)
+    routed = set()
+    for mask in range(1, 2**p):
+        pts = [x for x in range(p) if mask >> x & 1]
+        before = len(calls)
+        assert set_energy_times(pts, p) == oracles.set_energy_times_quadruple(pts, p)
+        assert (len(calls) > before) == energy._dense(len(pts) ** 2, p)
+        if len(calls) > before:
+            routed.add(0 in pts)
+    # mod 2 only {0, 1} is large enough for the route
+    assert routed == ({True} if p == 2 else {False, True})
+
+
+@pytest.mark.parametrize("with_zero", [False, True])
+def test_multiplicative_energy_log_route_at_1009(monkeypatch, with_zero):
+    calls = _route_calls(monkeypatch)
+    rng = random.Random(1009 + with_zero)
+    pts = rng.sample(range(1, 1009), 32) + [0] * with_zero
+    assert set_energy_times(pts, 1009) == oracles.set_energy_times_quadruple(pts, 1009)
+    assert calls == [1009]
+    # composite moduli keep the product loop
+    assert set_energy_times(pts, 1008) == oracles.set_energy_times_quadruple(pts, 1008)
+    assert calls == [1009]

@@ -122,6 +122,16 @@ def test_count_eq_prime_target_without_factoring():
     assert dt < 0.1, dt
 
 
+def test_integer_roots_of_a_prime_constant_term_stop_at_the_factoring_budget():
+    # the roots of x^2 - p divide p, and factoring p near 1e16 by trial
+    # division would take seconds
+    p = _prime_at_least(10**16)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="trial division"):
+        integer_roots((-p, 0, 1))
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_count_symmetric():
     rec = count_symmetric_eq((0, 0, 1), 2)
     assert rec.total == 6

@@ -1,4 +1,5 @@
 """Tests for the deterministic verification sweep."""
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -140,6 +141,15 @@ def test_run_sweep_byte_identical():
     r2 = run_sweep(SMALL)
     assert r1 == r2
     assert json.dumps(json_ready(r1)) == json.dumps(json_ready(r2))
+
+
+def test_default_report_digest():
+    # `energia verify | sha256sum`: any change to an exact output shows here
+    report = run_sweep(SweepConfig(), workers=1)
+    text = json.dumps(json_ready(report), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1717df281af211dc088762eb2e50ef7cd36b83a09cea9c3aec75264aed0de67f"
+    )
 
 
 def test_run_sweep_worker_parity():
