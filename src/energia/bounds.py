@@ -1,14 +1,29 @@
 """Closed-form reference bounds for interval energies of polynomial images.
 
 Exponents are exact rationals; the bound values themselves are floats since
-the exponents are generically irrational powers of the inputs.
+the exponents are generically irrational powers of the inputs.  Inputs too
+large for a float (m beyond about 1.8e308) raise DomainError.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .ring import DomainError
+
+
+def _float_bound(fn):
+    """fn, with the OverflowError of an input too large for a float raised as DomainError."""
+
+    @functools.wraps(fn)
+    def bound(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise DomainError(f"{fn.__name__}: an input is too large for a float ({exc})") from None
+
+    return bound
 
 
 @dataclass(frozen=True)
@@ -38,6 +53,7 @@ class EnergyBound:
     exponent_regime: str  # which branch of the min was active
 
 
+@_float_bound
 def interval_energy_bound(d: int, m: int, H: int) -> EnergyBound:
     """H^3 * min((m/H)^-alpha, H^-beta): the two-regime energy saving."""
     if m < 2 or H < 1 or H > m:
@@ -50,6 +66,7 @@ def interval_energy_bound(d: int, m: int, H: int) -> EnergyBound:
     return EnergyBound(H**3 * b, "interval-limited")
 
 
+@_float_bound
 def fourth_moment_bound(d: int, m: int, H: int) -> float:
     """H^4 / m^(4/(d(d+1))) + H^2: the mean-value bound for the full energy T."""
     if m < 2 or H < 1 or H > m:
@@ -57,6 +74,7 @@ def fourth_moment_bound(d: int, m: int, H: int) -> float:
     return H**4 / m ** (4 / (d * (d + 1))) + H**2
 
 
+@_float_bound
 def fourth_moment_crossover(d: int, m: int) -> float:
     """H where the two terms of the fourth-moment bound balance: m^(2/(d(d+1)))."""
     if m < 2:
@@ -66,6 +84,7 @@ def fourth_moment_crossover(d: int, m: int) -> float:
     return m ** (2 / (d * (d + 1)))
 
 
+@_float_bound
 def hybrid_count_bound(d: int, m: int, H: int, Z: int) -> float:
     """H^2 Z^2 / m^(2/(d(d+1))) + Z (H + Z): solutions weighted by a set of size Z."""
     if m < 2 or H < 1 or Z < 1:

@@ -6,9 +6,12 @@ over Z.  A representation function is the fold of the value histogram with
 itself (or with its negation), an energy is the sum of its squared fibres
 and a sumset size is its number of fibres.  The power-sum counts in
 `vinogradov` and the integer energy in `eqcount` use the same fold.
+`additive_stats` reads T, the image-set energy and the sumset off one fold
+of the image set plus a small correction fold of the collisions.
 
 The fold has two backends, and the sizes pick one (`_dense`).  The sparse
-one adds a[x] * b[y] pair by pair into a Counter.  The dense one, used mod m
+one merges a row {x + y: a[x] * b[y]} at a time into a Counter, at C
+speed.  The dense one, used mod m
 once the pairs outnumber c m with c = max(1, sqrt(m) / 40), a crossover
 measured for m from 31 to 1e5, is Kronecker substitution:
 each histogram becomes one integer whose w-byte slot x holds the count at x,
@@ -22,7 +25,14 @@ maps the nonzero residues onto Z/(p - 1), so the nonzero products ab = cd
 are the quadruples of logs with equal sums mod p - 1, and a set holding 0
 adds the (2|A| - 1)^2 quadruples with ab = cd = 0.  `set_energy_times`
 folds the logs when that beats its product loop, which composite moduli
-always keep.  Every identity used downstream (mass H^2, the Cauchy-Schwarz
+always keep.
+
+Every fold an entry point starts is priced first (`_afford`), in sparse pair
+steps, a dense fold at the pair count it breaks even with, and refused with
+BudgetExceeded past FOLD_BUDGET.  Entry points given f and an interval price
+the worst case, H distinct values, before evaluating f.
+
+Every identity used downstream (mass H^2, the Cauchy-Schwarz
 chain H^4 <= sumset*T) is checked in exact integer arithmetic.
 Quadruple-loop versions exist only in the test suite as oracles.
 """
@@ -33,14 +43,24 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .charsum import TABLE_BUDGET, _dlog_table
-from .ring import DomainError, Interval, PolyMod, image_set, is_probable_prime, poly_values
+from .ring import (
+    BudgetExceeded,
+    DomainError,
+    Interval,
+    PolyMod,
+    image_set,
+    is_probable_prime,
+    poly_values,
+)
 
 PAIR_SUM = "pair-sum"
 PAIR_DIFFERENCE = "pair-difference"
+FOLD_BUDGET = 10**7  # sparse pair steps per fold; a dense fold counts as its break-even pair count
 
 
 @dataclass
@@ -78,13 +98,32 @@ class EnergyReport:
             raise DomainError("energy_plus exceeds T")
 
 
-def _dense(pairs: int, m: int) -> bool:
-    """Whether one dense fold mod m costs less than `pairs` sparse pair steps.
+def _crossover(m: int) -> int:
+    """The pair count at which one dense fold mod m costs as much as the sparse one.
 
-    Measured crossover: about m pairs up to m ~ 3000, then m^1.5 / 40, as
-    the big-integer product (Karatsuba) outgrows its linear packing.
+    Measured: about m pairs up to m ~ 3000, then m^1.5 / 40, as the
+    big-integer product (Karatsuba) outgrows its linear packing.
     """
-    return pairs > m * max(1, math.isqrt(m) // 40)
+    return m * max(1, math.isqrt(m) // 40)
+
+
+def _dense(pairs: int, m: int) -> bool:
+    """Whether one dense fold mod m costs less than `pairs` sparse pair steps."""
+    return pairs > _crossover(m)
+
+
+def _afford(stage: str, na: int, nb: int, m: Optional[int] = None) -> None:
+    """BudgetExceeded unless a fold of na by nb keys (mod m) fits FOLD_BUDGET.
+
+    The cost is in sparse pair steps on the backend `_fold` would pick: na * nb
+    pairs, or, for a dense fold, the pair count it breaks even with.
+    """
+    cost = na * nb if m is None else min(na * nb, _crossover(m))
+    if cost > FOLD_BUDGET:
+        raise BudgetExceeded(
+            f"{stage}: a fold of up to {na} x {nb} keys costs {cost} pair steps, "
+            f"over the budget FOLD_BUDGET = {FOLD_BUDGET}"
+        )
 
 
 # memoryview formats of native unsigned slots; widths between them are
@@ -136,7 +175,12 @@ def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
 def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -> Counter:
     """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None.
 
-    Mod m the keys must lie in [0, m) and the counts be positive.
+    Mod m the keys must lie in [0, m) and the counts be positive.  The sparse
+    backend takes one x of the shorter histogram at a time and merges its
+    whole row {x + y: a[x] * b[y]} into the output at C speed: Counter.update
+    when every weight is 1, else one dict.update of (key, old + weight)
+    pairs.  That merge is exact because the keys of one row are distinct:
+    the y are distinct, and mod m they lie in [0, m), so x + y mod m is too.
     """
     if m is not None and _dense(len(a) * len(b), m):
         return _fold_dense(a, b, m)
@@ -145,11 +189,12 @@ def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -
     unit = all(c == 1 for c in b.values())
     out: Counter[int] = Counter()
     for x, cx in a.items():
+        keys = [x + y for y in b] if m is None else [(x + y) % m for y in b]
         if unit and cx == 1:
-            out.update([x + y for y in b] if m is None else [(x + y) % m for y in b])
+            out.update(keys)
         else:
-            for y, cy in b.items():
-                out[x + y if m is None else (x + y) % m] += cx * cy
+            weights = b.values() if cx == 1 else map(mul, b.values(), repeat(cx))
+            dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
     return out
 
 
@@ -161,6 +206,7 @@ def _squares(counts: Mapping[int, int]) -> int:
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
     pts = Counter({p % modulus for p in points})
+    _afford("set_energy_plus", len(pts), len(pts), modulus)
     return _squares(_fold(pts, pts, modulus))
 
 
@@ -180,6 +226,7 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
         logs = Counter(dlog[a] for a in pts if a)
         zero = (2 * len(pts) - 1) ** 2 if pts[0] == 0 else 0
         return _squares(_fold(logs, logs, modulus - 1)) + zero
+    _afford("set_energy_times", len(pts), len(pts))  # the product loop
     counts: Counter[int] = Counter()
     for a in pts:
         counts.update((a * b) % modulus for b in pts)
@@ -191,8 +238,9 @@ def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFun
 
     Total mass is H^2 by construction.
     """
-    hist = Counter(poly_values(f, interval))
     m = f.modulus
+    _afford("rep_function", interval.H, interval.H, m)
+    hist = Counter(poly_values(f, interval))
     if mode == PAIR_SUM:
         other = hist
     elif mode == PAIR_DIFFERENCE:
@@ -204,6 +252,7 @@ def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFun
 
 def energy_T(f: PolyMod, interval: Interval) -> int:
     """T = #{(x,y,z,w) in I^4 : f(x)+f(y) = f(z)+f(w) mod m} = sum_lambda R(lambda)^2."""
+    _afford("energy_T", interval.H, interval.H, f.modulus)
     hist = Counter(poly_values(f, interval))
     return _squares(_fold(hist, hist, f.modulus))
 
@@ -211,22 +260,36 @@ def energy_T(f: PolyMod, interval: Interval) -> int:
 def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     """(T, energy_plus, sumset_size) of the values f(1), ..., f(H) mod m.
 
-    Folds the value histogram and the image set once each; the sumset is the
-    support of either fold.
+    One fold of the image set A does all three.  S = 1_A * 1_A gives the
+    set energy (its squared fibres) and the sumset (its support).  The value
+    histogram h differs from 1_A by the collision excess D = h - 1_A, so
+    h * h = S + C with C = D * (h + 1_A), and
+    T = sum (S + C)^2 = E+ + sum_k C[k] (2 S[k] + C[k]).
+    C costs |D| |A| pairs, and none at all when no two values collide.
     """
-    ep = set_energy_plus(values, modulus)
     hist = Counter(values)
-    pairs = _fold(hist, hist, modulus)
-    return _squares(pairs), ep, len(pairs)
+    ones = dict.fromkeys(hist, 1)
+    _afford("additive_stats", len(ones), len(ones), modulus)
+    s = _fold(ones, ones, modulus)
+    ep = _squares(s)
+    excess = {v: c - 1 for v, c in hist.items() if c > 1}
+    t = ep
+    if excess:
+        _afford("additive_stats", len(excess), len(hist), modulus)
+        c = _fold(excess, {v: n + 1 for v, n in hist.items()}, modulus)
+        t += sum(ck * (2 * s[k] + ck) for k, ck in c.items())
+    return t, ep, len(s)
 
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:
     """Additive energy of the image SET f({1..H}) (deduplicated)."""
+    _afford("energy_plus", interval.H, interval.H, f.modulus)
     return set_energy_plus(image_set(f, interval), f.modulus)
 
 
 def energy_times(f: PolyMod, interval: Interval) -> int:
     """Multiplicative energy of the image SET f({1..H}) (deduplicated)."""
+    _afford("energy_times", interval.H, interval.H, f.modulus)
     return set_energy_times(image_set(f, interval), f.modulus)
 
 
@@ -236,17 +299,20 @@ def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int)
         raise DomainError(f"modulus must be >= 2, got {modulus}")
     aa = Counter({p % modulus for p in a_points})
     bb = Counter({p % modulus for p in b_points})
+    _afford("energy_cross", len(aa), len(bb), modulus)
     return _squares(_fold(aa, bb, modulus))
 
 
 def sumset_size(f: PolyMod, interval: Interval) -> int:
     """#(f(I) + f(I)) inside Z/m."""
+    _afford("sumset_size", interval.H, interval.H, f.modulus)
     pts = Counter(image_set(f, interval))
     return len(_fold(pts, pts, f.modulus))
 
 
 def energy_report(f: PolyMod, interval: Interval) -> EnergyReport:
     """Compute every statistic from one evaluation of f; K = H^3/T is exact."""
+    _afford("energy_report", interval.H, interval.H, f.modulus)
     vals = poly_values(f, interval)
     t, ep, ss = additive_stats(vals, f.modulus)
     h = interval.H

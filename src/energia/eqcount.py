@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .energy import _fold, _squares
+from .energy import _afford, _fold, _squares
 from .lattice import (
     NullspaceRecord,
     WeightedBox,
@@ -177,6 +177,7 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     cs = _clean_coeffs(coeffs)
     if H < 1:
         raise DomainError(f"H must be >= 1, got {H}")
+    _afford("count_symmetric_eq", H, H)
     hist = Counter(int_poly_eval(cs, x) for x in range(1, H + 1))
     total = _squares(_fold(hist, hist))
     r0 = _squares(hist)

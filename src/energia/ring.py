@@ -206,8 +206,70 @@ def inv_mod(a: int, m: int) -> int:
         raise DomainError(f"{a} is not invertible mod {m}") from exc
 
 
+# psi_13, the least strong pseudoprime to every prime base up to 41: below it
+# Miller-Rabin to those 13 bases decides primality exactly
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test with Selfridge's parameters, n odd > 2.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = k 2^s, n passes when U_k = 0 or
+    V_{k 2^r} = 0 mod n for some r < s (Baillie and Wagstaff 1980).
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D would ever have (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+
+    def half(x: int) -> int:  # x / 2 mod n
+        return (x + n if x % 2 else x) // 2 % n
+
+    U, V, Qk = 1, 1, Q % n  # index 1
+    for bit in bin(k)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n  # index doubled
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n  # index + 1
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for n < 3.3e24 (fixed base set)."""
+    """Miller-Rabin to the 13 prime bases up to 41, exact below psi_13 ~ 3.3e24.
+
+    From psi_13 on, a strong Lucas test is added, which makes it the
+    Baillie-PSW test: no composite is known to pass it.
+    """
     if n < 2:
         return False
     small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -229,7 +291,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_EXACT_BELOW or _strong_lucas(n)
 
 
 def poly_from_string(text: str, modulus: int) -> PolyMod:

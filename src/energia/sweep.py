@@ -21,8 +21,8 @@ from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .bounds import fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
-from .energy import additive_stats
-from .ring import DomainError, Interval, PolyMod, is_probable_prime, poly_values
+from .energy import _afford, additive_stats
+from .ring import BudgetExceeded, DomainError, Interval, PolyMod, is_probable_prime, poly_values
 
 CSV_COLUMNS = [
     "d", "m", "H", "seed", "coeffs", "T", "energy_plus", "sumset", "K",
@@ -153,6 +153,7 @@ def run_cell(
         f = _random_poly(d, m, rng)
     elif f.degree != d or f.modulus != m:
         raise DomainError("pinned polynomial does not match the cell's (d, m)")
+    _afford("run_cell", H, H, m)
     t_val, ep, ss = additive_stats(poly_values(f, Interval(H)), m)
     k_val = Fraction(H**3, t_val)
     cs_ok = H**4 <= ss * t_val
@@ -168,10 +169,13 @@ def run_cell(
 
 
 def _cell_job(args: tuple[int, int, int, int, str]) -> CellResult:
-    # containment lives here so failures travel back as rows, not exceptions
+    # containment lives here so failures travel back as rows, not exceptions;
+    # an input the library refuses refuses the whole sweep
     d, m, H, seed, master = args
     try:
         return run_cell(d, m, H, seed, master)
+    except (DomainError, BudgetExceeded):
+        raise
     except Exception as exc:
         return CellResult(d, m, H, seed, error=f"{type(exc).__name__}: {exc}")
 

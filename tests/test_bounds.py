@@ -127,3 +127,18 @@ def test_bound_validation():
         fourth_moment_crossover(1, 100)
     with pytest.raises(DomainError):
         hybrid_count_bound(2, 64, 4, 0)
+
+
+def test_moduli_beyond_float_range_raise_domain_error():
+    m = 10**320
+    for call in (
+        lambda: interval_energy_bound(2, m, 5),
+        lambda: fourth_moment_bound(2, m, 5),
+        lambda: fourth_moment_crossover(2, m),
+        lambda: hybrid_count_bound(2, m, 5, 5),
+    ):
+        with pytest.raises(DomainError, match="too large for a float"):
+            call()
+    # a modulus that fits in a float keeps the float arithmetic
+    assert fourth_moment_crossover(2, 10**300) == (10**300) ** (1 / 3)
+    assert interval_energy_bound(2, 10**300, 5).value == 125 * (10**300 / 5) ** -0.5

@@ -1,7 +1,11 @@
 """End-to-end tests of the command line front end."""
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from energia import charsum, cli, vinogradov
 from energia.sweep import CSV_COLUMNS
@@ -275,9 +279,84 @@ def test_domain_error_exit_code(capsys):
     ["charsum", "region", "--zeta", "1/0", "--xi", "1/3", "--d", "2"],
     # refused by the table budget before anything is allocated
     ["charsum", "weil", "--p", "1000000007", "--coeffs", "1,0,1"],
+    # refused by the fold budget before f is evaluated
+    ["eqcount", "sym", "--coeffs", "0,0,1", "--H", "1000000000000"],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err and out == ""
+
+
+PSI_13 = 3317044064679887385961981
+
+
+def test_fold_budget_refuses_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, _, err = _run(capsys, [
+        "energy", "--modulus", "1000000007", "--poly", "0,0,1", "--H", "300000", "--what", "plus",
+    ])
+    assert rc == 2 and err.startswith("error: energy_plus") and "FOLD_BUDGET" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_modulus_beyond_float_range(tmp_path, capsys):
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("moduli = 1" + "0" * 320 + "\nlengths = 4, 5\n")
+    rc, out, err = _run(capsys, ["verify", "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "too large for a float" in err
+
+
+def test_verify_at_psi_13_skips_the_prime_only_check(tmp_path, capsys):
+    # psi_13 = 1287836182261 * 2575672364521 passes Miller-Rabin to every base <= 41
+    cfg = tmp_path / "psi13.cfg"
+    cfg.write_text(f"d = 2\nm = {PSI_13}\nh = 5\nseeds = 0\n")
+    payload, _ = _run_json(capsys, ["verify", "--config", str(cfg)])
+    assert [c["sandwich_ok"] for c in payload["cells"]] == [None]
+
+
+# --- fuzzing the front end: every argv exits 0, or 2 with an error line -----
+
+FUZZ_MODULI = [-1, 0, 1, 2, 7, 96, 1009, PSI_13, 10**400]
+GOOD_POLYS = ["0,0,1", "3,1,1", "0,1", "5,0,0,1", "1,2,3,4,5"]
+BAD_POLYS = ["", "x", "1,,2", "0", "7", "1,2,", "0,0,0", " ", "1.5,2", "0,0,1e3", "0;1", "--1"]
+
+
+@st.composite
+def _argvs(draw):
+    m = draw(st.sampled_from(FUZZ_MODULI))
+    H = draw(st.sampled_from([-1, 0, 1, 5, m, m + 1, 300000]))
+    poly = draw(st.sampled_from(GOOD_POLYS * 3 + BAD_POLYS))
+    if draw(st.booleans()):
+        what = draw(st.sampled_from(["report", "T", "plus", "times", "sumset"]))
+        return ["energy", "--modulus", str(m), "--poly", poly, "--H", str(H), "--what", what], None
+    degrees = draw(st.sampled_from(["2", "3", "2, 3", "1", "x"]))
+    config = f"d = {degrees}\nmoduli = {m}\nlengths = {H}\nseeds = 0\n"
+    return ["verify", "--config", None], config
+
+
+@given(_argvs())
+@example((["energy", "--modulus", "1009", "--poly", "3,1,1", "--H", "1009", "--what", "report"], None))
+@example((["energy", "--modulus", str(10**400), "--poly", "0,0,1", "--H", str(10**400)], None))
+@example((["verify", "--config", None], f"d = 2, 3\nm = {PSI_13}\nh = 300000\nseeds = 0\n"))
+@example((["verify", "--config", None], "d = 2, 3\nm = 1009\nh = 1009\nseeds = 0\n"))
+@settings(max_examples=120, deadline=None)
+def test_cli_fuzz_exits_0_or_2_with_an_error_line(tmp_path_factory, case):
+    argv, config = case
+    if config is not None:
+        path = tmp_path_factory.mktemp("fuzz") / "grid.cfg"
+        path.write_text(config)
+        argv[-1] = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            rc = exc.code
+    if rc == 0:
+        json.loads(out.getvalue())
+    else:
+        assert rc == 2, (argv, config, err.getvalue())
+        assert "error:" in err.getvalue()

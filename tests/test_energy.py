@@ -10,6 +10,7 @@ from energia import energy
 from energia.energy import (
     PAIR_DIFFERENCE,
     EnergyReport,
+    additive_stats,
     energy_cross,
     energy_plus,
     energy_report,
@@ -20,7 +21,7 @@ from energia.energy import (
     set_energy_times,
     sumset_size,
 )
-from energia.ring import DomainError, Interval, PolyMod, image_set
+from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod, image_set
 
 import oracles
 
@@ -170,7 +171,7 @@ def _pair_loop(a, b, m):
     out = Counter()
     for x, cx in a.items():
         for y, cy in b.items():
-            out[(x + y) % m] += cx * cy
+            out[x + y if m is None else (x + y) % m] += cx * cy
     return out
 
 
@@ -262,3 +263,103 @@ def test_multiplicative_energy_log_route_at_1009(monkeypatch, with_zero):
     # composite moduli keep the product loop
     assert set_energy_times(pts, 1008) == oracles.set_energy_times_quadruple(pts, 1008)
     assert calls == [1009]
+
+
+# --- the sparse merge, the one set fold behind additive_stats, the budget ---
+
+
+@given(
+    st.sampled_from([None, 2, 12, 97, 300]),
+    st.sampled_from([1, 3, 2**40]),
+    st.sampled_from([1, 3, 2**40]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_fold_matches_pair_loop_over_z_and_mod_m(m, weight_a, weight_b, square, data):
+    # weight 1 is a unit histogram; weight 3 mixes rows with cx = 1 and cx != 1
+    lo, hi, size = (-400, 400, 80) if m is None else (0, m - 1, m)
+
+    def histogram(max_weight):
+        keys = data.draw(st.lists(st.integers(lo, hi), min_size=1, max_size=size, unique=True))
+        return Counter({k: data.draw(st.integers(1, max_weight)) for k in keys})
+
+    a = histogram(weight_a)
+    b = a if square else histogram(weight_b)
+    expected = _pair_loop(a, b, m)
+    assert energy._fold(a, b, m) == expected
+    if m is not None:  # mod m, sizes up to m on each side also run the dense backend
+        assert _sparse_fold(a, b, m) == expected
+
+
+def _naive_stats(vals, m):
+    """T and E+ as sums of squared pair counts, and the sumset, by pair loops."""
+    img = set(vals)
+    pairs = Counter((a + b) % m for a in vals for b in vals)
+    set_pairs = Counter((a + b) % m for a in img for b in img)
+    return sum(c * c for c in pairs.values()), sum(c * c for c in set_pairs.values()), len(set_pairs)
+
+
+@given(
+    st.sampled_from([16, 32, 64, 96, 100]),
+    st.lists(st.integers(0, 99), min_size=2, max_size=4),
+    st.integers(1, 14),
+)
+@settings(max_examples=60, deadline=None)
+def test_additive_stats_match_quadruple_oracles(m, coeffs, H):
+    coeffs = tuple(coeffs[:-1]) + (coeffs[-1] % (m - 1) + 1,)  # leading coefficient nonzero mod m
+    H = min(H, m)
+    vals = [oracles.poly_mod(coeffs, x, m) for x in range(1, H + 1)]
+    t, ep, ss = additive_stats(vals, m)
+    img = sorted(set(vals))
+    assert t == oracles.energy_T_quadruple(coeffs, m, H)
+    assert ep == oracles.set_energy_plus_quadruple(img, m)
+    assert ss == oracles.sumset_size_naive(coeffs, m, H)
+
+
+@pytest.mark.parametrize("coeffs, m, H, dense_correction", [
+    ((0, 0, 1), 64, 64, True),  # X^2 mod 2^6, H = m
+    ((0, 0, 1), 96, 96, True),
+    ((0, 0, 0, 0, 1), 100, 100, True),
+    ((1, 0, 1), 96, 40, True),
+    ((0, 0, 1), 1024, 40, False),  # X^2 mod 2^10: one collision
+    ((0, 0, 1), 4096, 200, False),
+])
+def test_additive_stats_with_heavy_collisions(coeffs, m, H, dense_correction):
+    vals = [oracles.poly_mod(coeffs, x, m) for x in range(1, H + 1)]
+    hist = Counter(vals)
+    excess = [v for v, c in hist.items() if c > 1]
+    # the correction fold C = D * (h + 1_A) runs on the backend this case names
+    assert excess and energy._dense(len(excess) * len(hist), m) == dense_correction
+    assert additive_stats(vals, m) == _naive_stats(vals, m)
+
+
+def test_fold_budget_prices_the_backend_fold_would_pick():
+    energy._afford("x", 10**4, 10**3)  # exactly the budget
+    with pytest.raises(BudgetExceeded, match="x: .*FOLD_BUDGET = 10000000"):
+        energy._afford("x", 10**4 + 1, 10**3)
+    # mod m a dense fold costs the pair count it breaks even with
+    energy._afford("x", 10**6, 10**6, 100003)
+    with pytest.raises(BudgetExceeded):
+        energy._afford("x", 10**6, 10**6, 10**6 + 3)
+
+
+def test_energy_entry_points_refuse_over_budget_before_folding():
+    f, iv = PolyMod((0, 0, 1), 1000000007), Interval(300000)
+    for fn in (energy_T, energy_plus, energy_times, sumset_size, energy_report, rep_function):
+        with pytest.raises(BudgetExceeded, match=fn.__name__):
+            fn(f, iv)
+    pts = range(1, 5001)  # 2.5e7 pairs mod a composite: no dense fold, no log route
+    for fn in (set_energy_plus, set_energy_times):
+        with pytest.raises(BudgetExceeded, match=fn.__name__):
+            fn(pts, 10**9)
+    with pytest.raises(BudgetExceeded, match="energy_cross"):
+        energy_cross(pts, pts, 10**9)
+    with pytest.raises(BudgetExceeded, match="additive_stats"):
+        additive_stats(list(pts), 10**9)
+
+
+def test_full_interval_at_100003_stays_within_budget():
+    # H = m: 50002 squares, folded dense, cost 7e5 pair steps
+    f = PolyMod((0, 0, 1), 100003)
+    assert energy_plus(f, Interval(100003)) == 62508750400006

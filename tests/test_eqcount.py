@@ -144,6 +144,13 @@ def test_count_symmetric():
         assert count_symmetric_eq(coeffs, H).total == oracles.count_symmetric_quadruple(coeffs, H)
 
 
+def test_count_symmetric_fold_budget():
+    # refused before f is evaluated: H^2 pairs are the worst case over Z
+    for H in (3163, 10**12):
+        with pytest.raises(BudgetExceeded, match="count_symmetric_eq"):
+            count_symmetric_eq((0, 0, 1), H)
+
+
 def test_regime_constant_values():
     c2 = regime_constant(2)
     c3 = regime_constant(3)

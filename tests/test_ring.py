@@ -8,6 +8,7 @@ from energia.ring import (
     Factorization,
     Interval,
     PolyMod,
+    _strong_lucas,
     centered,
     divisor_pairs,
     divisors_of,
@@ -127,6 +128,49 @@ def test_probable_prime_against_sieve():
     sieve = set(primes_up_to(2000))
     for n in range(2000):
         assert is_probable_prime(n) == (n in sieve)
+
+
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to every prime base <= 41
+
+
+def test_probable_prime_is_baillie_psw_beyond_psi_13():
+    assert PSI_13 == 1287836182261 * 2575672364521
+    assert not is_probable_prime(PSI_13)
+    for e in (89, 107, 127):
+        assert is_probable_prime(2**e - 1)
+    for e in (67, 101, 103):  # composite Mersenne numbers
+        assert not is_probable_prime(2**e - 1)
+    assert not is_probable_prime((2**89 - 1) * (2**107 - 1))
+
+
+def test_probable_prime_against_sieve_below_1e5():
+    sieve = primes_up_to(10**5)
+    assert [n for n in range(10**5) if is_probable_prime(n)] == sieve
+
+
+def test_strong_lucas_test():
+    sieve = set(primes_up_to(10**5))
+    # the strong Lucas pseudoprimes below 2e4 (OEIS A217255)
+    assert [n for n in range(3, 20000, 2) if _strong_lucas(n) and n not in sieve] == [
+        5459, 5777, 10877, 16109, 18971,
+    ]
+    # with Miller-Rabin to base 2 it is the Baillie-PSW test, exact this far
+    for n in range(3, 10**5, 2):
+        assert (_strong_probable_prime_base_2(n) and _strong_lucas(n)) == (n in sieve), n
+
+
+def _strong_probable_prime_base_2(n):
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
 
 
 def test_parsers():

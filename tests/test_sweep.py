@@ -8,7 +8,7 @@ import pytest
 
 from energia.cli import json_ready
 from energia.energy import energy_plus, energy_T, sumset_size
-from energia.ring import DomainError, Interval, PolyMod, image_set
+from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod, image_set
 from energia.sweep import (
     CSV_COLUMNS,
     CellResult,
@@ -170,6 +170,15 @@ def test_write_csv():
     assert first[0] == "2" and first[1] == "7"
     assert "/" in first[8]  # K rendered as an exact fraction
     assert first[-1] == ""  # no error
+
+
+def test_refused_inputs_refuse_the_sweep():
+    # a cell over the fold budget, or a modulus too large for the float bounds,
+    # stops the sweep instead of becoming an error row
+    with pytest.raises(BudgetExceeded, match="run_cell"):
+        run_sweep(SweepConfig(degrees=(2,), moduli=(10**30,), lengths=(300000,), seeds=(0,)))
+    with pytest.raises(DomainError, match="float"):
+        run_sweep(SweepConfig(degrees=(2,), moduli=(10**320,), lengths=(5,), seeds=(0,)))
 
 
 def test_hard_failure_property():
