@@ -22,7 +22,7 @@ from .energy import _afford, _fold, _squares
 from .lattice import (
     NullspaceRecord,
     WeightedBox,
-    _Echelon,
+    _independent,
     bv_small_solutions,
     congruence_lattice,
     shortest_vector_in,
@@ -313,8 +313,7 @@ def _certify(
     relatives = [
         [a - b for a, b in zip(_pow_diff(p, d), base)] for p in family if p != anchor
     ]
-    ech = _Echelon()
-    rows = [r for r in relatives if ech.try_add(r)]
+    rows = _independent(relatives)
     d0 = len(rows)
     if d0 == 0:
         # every solution sits on one power-difference point; read the fiber

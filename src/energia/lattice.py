@@ -4,8 +4,10 @@ Everything is certified in rational arithmetic: successive minima come with
 witness vectors, Minkowski's second theorem is checked as an exact sandwich,
 duality is an involution on canonical (Hermite normal form) bases, and the
 small-nullspace constructor proves its product bound with integer
-comparisons.  Floating point appears only to bracket enumeration intervals;
-every boundary candidate is re-validated exactly before use.
+comparisons.  The integer linear algebra is one Hermite normal form (with
+its unimodular transform) and one fraction-free elimination; enumeration
+brackets its intervals with integer square roots, and floating point appears
+only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
@@ -95,29 +97,53 @@ def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], l
     return rows, u, r
 
 
+def _eliminate(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Clears each of the first ncols columns (default: all) above and below its
+    pivot, dividing exactly by the previous pivot, so every entry stays an
+    integer minor.  Returns (rows, pivots, sign): row i < len(pivots) has its
+    pivot in column pivots[i], every pivot equals one value d (+-the pivot
+    minor), the other rows are zero in the first ncols columns, and sign is
+    the parity of the row swaps.
+    """
+    a = [list(map(int, r)) for r in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            sign = -sign
+        top = a[r]
+        piv = top[c]
+        for i, row in enumerate(a):
+            if i != r:
+                f = row[c]
+                a[i] = [(piv * x - f * y) // prev for x, y in zip(row, top)]
+        prev = piv
+        pivots.append(c)
+    return a, pivots, sign
+
+
+def _scaled(vec: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
+    """(L * vec as integers, L), L the lcm of the entries' denominators."""
+    fr = [Fraction(x) for x in vec]
+    lcm = math.lcm(*(x.denominator for x in fr))
+    return [x.numerator * (lcm // x.denominator) for x in fr], lcm
+
+
 def det_int(mat: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    a = [list(map(int, r)) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    """Determinant of a square integer matrix."""
+    rows, pivots, sign = _eliminate(mat)
+    if len(pivots) < len(rows):
+        return 0
+    return sign * rows[-1][-1] if rows else 1
 
 
 def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -136,64 +162,46 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def rational_rank(mat: Sequence[Sequence[Union[int, Fraction]]]) -> int:
-    rows = [[Fraction(x) for x in r] for r in mat]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    r = 0
-    while r < len(rows) and col < ncols:
-        piv = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        col += 1
-        rank += 1
-    return rank
+    return len(_eliminate([_scaled(r)[0] for r in mat])[1])
+
+
+def _inverse_scaled(mat: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, A) with mat^-1 = A / d, from eliminating [mat | I]."""
+    n = len(mat)
+    rows, pivots, _ = _eliminate([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)], n)
+    if len(pivots) < n:
+        raise DomainError("matrix is singular")
+    return (rows[0][0] if n else 1), [row[n:] for row in rows]
 
 
 def inv_frac(mat: Sequence[Sequence[int]]) -> list[list[Fraction]]:
     """Exact inverse of a square integer matrix."""
-    n = len(mat)
-    a = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise DomainError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+    d, adj = _inverse_scaled(mat)
+    return [[Fraction(x, d) for x in row] for row in adj]
 
 
-class _Echelon:
-    """Incremental rational row echelon, for greedy independence filtering."""
+def _independent(vectors: Iterable[Sequence[Union[int, Fraction]]], limit: Optional[int] = None) -> list:
+    """The vectors, in order, that are rationally independent of those kept
+    before them; stops once limit are kept.
 
-    def __init__(self) -> None:
-        self.rows: list[list[Fraction]] = []
-
-    def try_add(self, vec: Sequence[Union[int, Fraction]]) -> bool:
-        v = [Fraction(x) for x in vec]
-        for row in self.rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if v[piv] != 0:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(x != 0 for x in v):
-            self.rows.append(v)
-            return True
-        return False
+    v is dependent on the kept rows exactly when d * v = sum_c v_c * row_c
+    over the pivot columns c of their reduced form, checked in integers; the
+    reduced form is rebuilt only when a vector is kept.
+    """
+    kept: list = []
+    red: list[list[int]] = []
+    pivots: list[int] = []
+    d = 1
+    for v in vectors:
+        if limit is not None and len(kept) >= limit:
+            break
+        w = _scaled(v)[0]
+        if all(d * x == sum(w[c] * row[j] for c, row in zip(pivots, red)) for j, x in enumerate(w)):
+            continue
+        kept.append(v)
+        red, pivots, _ = _eliminate([_scaled(u)[0] for u in kept])
+        d = red[0][pivots[0]]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -334,35 +342,19 @@ class IntLattice:
 
     def coefficients_of(self, vec: Sequence[Union[int, Fraction]]) -> Optional[tuple[int, ...]]:
         """Integer t with t . basis / den = vec, or None when vec is not in L."""
-        target = [Fraction(x) * self.den for x in vec]
-        # solve t . basis = target by echelon on the transpose system
-        rows = [[Fraction(x) for x in r] for r in self.basis]
-        cols = self.dim
-        aug = [[rows[i][j] for i in range(self.rank)] + [target[j]] for j in range(cols)]
-        r = 0
-        piv_cols = []
-        for col in range(self.rank):
-            piv = next((i for i in range(r, cols) if aug[i][col] != 0), None)
-            if piv is None:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = 1 / aug[r][col]
-            aug[r] = [x * inv for x in aug[r]]
-            for i in range(cols):
-                if i != r and aug[i][col] != 0:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-            piv_cols.append(col)
-            r += 1
-        for i in range(r, cols):
-            if aug[i][-1] != 0:
-                return None
-        t = [Fraction(0)] * self.rank
-        for row_idx, col in enumerate(piv_cols):
-            t[col] = aug[row_idx][-1]
-        if any(x.denominator != 1 for x in t):
+        if len(vec) != self.dim:
+            raise DomainError(f"vector of length {len(vec)} in a lattice of dimension {self.dim}")
+        w, lcm = _scaled(vec)
+        # t . basis = den * w / lcm, solved on [basis^T | den * w]
+        k = self.rank
+        aug = [[r[j] for r in self.basis] + [self.den * w[j]] for j in range(self.dim)]
+        rows, _, _ = _eliminate(aug, k)
+        if any(row[-1] for row in rows[k:]):
             return None
-        return tuple(int(x) for x in t)
+        scale = rows[0][0] * lcm
+        if any(row[-1] % scale for row in rows[:k]):
+            return None
+        return tuple(row[-1] // scale for row in rows[:k])
 
 
 def lattice_from_string(text: str, den: int = 1) -> IntLattice:
@@ -608,18 +600,10 @@ def _minima_engine(
         if nrm <= radius:
             seen[cv] = nrm
     ordered = sorted(seen.items(), key=lambda item: (item[1], item[0]))
-    ech = _Echelon()
-    minima: list[Fraction] = []
-    wits: list[tuple[int, ...]] = []
-    for vec, nrm in ordered:
-        if ech.try_add(vec):
-            minima.append(nrm)
-            wits.append(vec)
-            if len(minima) == k:
-                break
-    if len(minima) != k:
+    wits = _independent([vec for vec, _ in ordered], k)
+    if len(wits) != k:
         raise DomainError("enumeration failed to reach full rank")  # unreachable
-    return minima, wits
+    return [seen[vec] for vec in wits], wits
 
 
 def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> MinimaProfile:
@@ -686,16 +670,11 @@ def dual_lattice(lat: IntLattice) -> IntLattice:
     """{y : <y, x> in Z for all x in L}, in canonical form."""
     if not lat.is_full_rank:
         raise DomainError("dual needs a full-rank lattice")
-    inv = inv_frac(lat.basis)
+    d, adj = _inverse_scaled(lat.basis)
     n = lat.dim
-    # dual basis rows are den * (B^{-1})^T
-    entries = [[inv[j][i] * lat.den for j in range(n)] for i in range(n)]
-    common = 1
-    for row in entries:
-        for x in row:
-            common = common * x.denominator // math.gcd(common, x.denominator)
-    numer = tuple(tuple(int(x * common) for x in row) for row in entries)
-    return IntLattice(numer, common).canonical()
+    # dual basis rows are den * (B^-1)^T = den * adj^T / d
+    numer = tuple(tuple(lat.den * adj[j][i] for j in range(n)) for i in range(n))
+    return IntLattice(numer, abs(d)).canonical()
 
 
 @dataclass(frozen=True)
@@ -763,44 +742,15 @@ class MahlerBasisRecord:
 
 def _complete_unimodular(u_rows: list[list[int]], size: int) -> list[int]:
     """A row completing u_rows ((size-1) x size, extendable) to det +-1."""
-    if size == 1:
-        return [1]
     cof: list[int] = []
     for i in range(size):
         minor = [[row[j] for j in range(size) if j != i] for row in u_rows]
         cof.append((-1) ** (size - 1 + i) * det_int(minor))
-    # solve sum u_i cof_i = 1 by iterated extended gcd
-    g = 0
-    coeffs = [0] * size
-    for i, c in enumerate(cof):
-        if c == 0:
-            continue
-        if g == 0:
-            g = abs(c)
-            coeffs = [0] * size
-            coeffs[i] = 1 if c > 0 else -1
-            continue
-        gg, x, y = _egcd(g, c)
-        coeffs = [x * v for v in coeffs]
-        coeffs[i] += y
-        g = gg
-    if abs(g) != 1:
+    # row 0 of the transform of HNF(cof as a column) solves sum x_i cof_i = gcd
+    h, u, _ = hnf_with_transform([[c] for c in cof])
+    if h[0][0] != 1:
         raise DomainError("sublattice is not a direct summand")  # unreachable by construction
-    if g == -1:
-        coeffs = [-v for v in coeffs]
-    return coeffs
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    return u[0]
 
 
 def _saturation(rows: list[list[int]], dim: int) -> list[list[int]]:

@@ -243,10 +243,22 @@ def minima_by_scan(
 
     scan(0, ())
     found.sort(key=lambda t: (t[0], t[1]))
-    minima: list[Fraction] = []
-    ech: list[list[Fraction]] = []
+    by_vec = {vec: nv for nv, vec in found}
+    minima = [by_vec[vec] for vec in greedy_independent([vec for _, vec in found], n)]
+    return minima, len(found)
 
-    def independent(vec: Sequence[int]) -> bool:
+
+def greedy_independent(vectors: Sequence[Sequence[Fraction]], limit: Optional[int] = None) -> list:
+    """The vectors, in order, independent of those kept before them, up to limit kept.
+
+    Each candidate is reduced in Fractions against the echelon rows kept so
+    far; it is kept when something nonzero is left.
+    """
+    ech: list[list[Fraction]] = []
+    kept = []
+    for vec in vectors:
+        if limit is not None and len(kept) == limit:
+            break
         row = [Fraction(v) for v in vec]
         for lead in ech:
             piv = next(j for j, v in enumerate(lead) if v != 0)
@@ -255,15 +267,13 @@ def minima_by_scan(
                 row = [a - f * b for a, b in zip(row, lead)]
         if any(v != 0 for v in row):
             ech.append(row)
-            return True
-        return False
+            kept.append(vec)
+    return kept
 
-    for nv, vec in found:
-        if independent(vec):
-            minima.append(nv)
-            if len(minima) == n:
-                break
-    return minima, len(found)
+
+def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over Q: the number of rows greedy_independent keeps."""
+    return len(greedy_independent(rows))
 
 
 # --- earlier lattice routines, kept as references --------------------------

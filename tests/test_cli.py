@@ -281,6 +281,9 @@ def test_domain_error_exit_code(capsys):
     ["charsum", "weil", "--p", "1000000007", "--coeffs", "1,0,1"],
     # refused by the fold budget before f is evaluated
     ["eqcount", "sym", "--coeffs", "0,0,1", "--H", "1000000000000"],
+    # a query whose length is not the lattice dimension
+    ["lattice", "mahler", "--basis", "1,0;0,1", "--box", "1,1", "--query", "1,2,3"],
+    ["lattice", "mahler", "--basis", "1,0;0,1", "--box", "1,1", "--query", "1"],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import importlib
+import json
 import math
 import random
 import sys
@@ -7,12 +9,14 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from energia.lattice import (
     DualBody,
     IntLattice,
     UnsupportedSize,
     WeightedBox,
+    _independent,
     bv_small_solutions,
     congruence_lattice,
     count_lattice_points,
@@ -35,6 +39,7 @@ from energia.lattice import (
     to_fraction,
     transference_check,
 )
+from energia.cli import json_ready
 from energia.eqcount import in_regime
 from energia.ring import DomainError
 
@@ -142,6 +147,66 @@ def test_inv_frac_roundtrip():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(DomainError):
         inv_frac([[1, 2], [2, 4]])
+
+
+_ENTRY = st.one_of(st.integers(-3, 3), st.integers(-10**30, 10**30))
+
+
+@st.composite
+def _matrices(draw):
+    """Up to 5 x 5, with repeated rows and integer combinations of earlier rows."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.just(m), st.integers(1, 5)))
+    rows = []
+    for _ in range(m):
+        how = draw(st.sampled_from(("new", "new", "copy", "combo"))) if rows else "new"
+        if how == "new":
+            rows.append([draw(_ENTRY) for _ in range(n)])
+        elif how == "copy":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([x * p + y * q for p, q in zip(a, b)])
+    return rows
+
+
+@given(_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_elimination_against_fraction_oracles(mat, data):
+    m, n = len(mat), len(mat[0])
+    rank = oracles.frac_rank(mat)
+    assert rational_rank(mat) == rank
+    dens = data.draw(st.lists(st.integers(1, 10**6), min_size=m, max_size=m))
+    scaled = [[Fraction(x, q) for x in row] for row, q in zip(mat, dens)]
+    assert rational_rank(scaled) == rank
+    assert _independent(scaled) == oracles.greedy_independent(scaled)
+    limit = data.draw(st.integers(0, m))
+    assert _independent(mat, limit) == oracles.greedy_independent(mat, limit)
+    if m == n:
+        assert det_int(mat) == _det_laplace(mat)
+        if rank == n:
+            assert inv_frac(mat) == oracles.frac_inverse(mat)
+        else:
+            with pytest.raises(DomainError):
+                inv_frac(mat)
+
+    basis = oracles.greedy_independent(mat)
+    if not basis:
+        return
+    den = data.draw(st.integers(1, 12))
+    lat = IntLattice(tuple(tuple(r) for r in basis), den)
+    t = data.draw(st.lists(st.fractions(-5, 5, max_denominator=3), min_size=len(basis), max_size=len(basis)))
+    vec = [sum(ti * row[c] for ti, row in zip(t, basis)) / den for c in range(n)]
+    expect = tuple(int(x) for x in t) if all(x.denominator == 1 for x in t) else None
+    assert lat.coefficients_of(vec) == expect
+    if lat.is_full_rank:
+        assert (expect is not None) == oracles.make_membership_test(basis, den)(vec)
+    off = [data.draw(_ENTRY) for _ in range(n)]
+    if oracles.frac_rank(basis + [off]) > len(basis):
+        assert lat.coefficients_of([v + o for v, o in zip(vec, off)]) is None
+    with pytest.raises(DomainError):
+        lat.coefficients_of(vec + [0])
 
 
 def test_to_fraction_rejects_floats():
@@ -480,3 +545,43 @@ def test_dimension_guard():
     eye = IntLattice(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
     with pytest.raises(UnsupportedSize):
         successive_minima(eye, WeightedBox((Fraction(1),) * n))
+
+
+def _geometry_records():
+    rng = random.Random("geometry-digest")
+    halfwidths = (Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2))
+    records = []
+    for n in (2, 2, 2, 3, 3, 3):
+        lat = _random_lattice(n, rng)
+        lat = IntLattice(lat.basis, rng.choice((1, 2, 6)))
+        body = WeightedBox(tuple(rng.choice(halfwidths) for _ in range(n)))
+        queries = [
+            tuple(Fraction(sum(t[i] * lat.basis[i][c] for i in range(n)), lat.den) for c in range(n))
+            for t in ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+        ]
+        records += [
+            successive_minima(lat, body),
+            successive_minima(lat, body.polar()),
+            dual_lattice(lat),
+            transference_check(lat, body),
+            mahler_basis(lat, body, queries),
+            [lat.coefficients_of(q) for q in queries + [(Fraction(1, 7),) * n]],
+        ]
+        sub = IntLattice(lat.basis[1:], lat.den)
+        inside = tuple(Fraction(a + 2 * b, lat.den) for a, b in zip(*lat.basis[-2:]))
+        records.append([sub.canonical(), sub.coefficients_of(inside), sub.coefficients_of(queries[0])])
+    for _ in range(6):
+        d0 = rng.randint(1, 2)
+        d = rng.randint(d0 + 1, 4)
+        mat = [[rng.randint(-20, 20) for _ in range(d)] for _ in range(d0)]
+        records.append(bv_small_solutions(mat) if rational_rank(mat) == d0 else None)
+    return records
+
+
+def test_geometry_digest():
+    # successive minima, duals, Mahler bases with query expansions and small
+    # nullspace certificates, byte for byte: any change to an exact output shows here
+    text = json.dumps(json_ready(_geometry_records()), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "9cf9e6356023dc443ee8e29fdc056d8e98b941b2ab0a54e54a8901da44d393d5"
+    )
