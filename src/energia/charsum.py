@@ -13,26 +13,21 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .ring import (
     BudgetExceeded,
     DomainError,
     PolyMod,
+    RatLike,
     factorize,
     inv_mod,
     is_probable_prime,
     primes_up_to,
+    to_fraction,
 )
 
-RatLike = Union[int, str, Fraction]
 TABLE_BUDGET = 10**6  # entries of a discrete-log table
-
-
-def _frac(x: RatLike) -> Fraction:
-    if isinstance(x, float):
-        raise DomainError(f"refusing inexact float {x!r}; pass a Fraction or 'p/q' string")
-    return Fraction(x)
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -339,10 +334,10 @@ class RegimeParams:
     delta: Optional[Fraction] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeta", _frac(self.zeta))
-        object.__setattr__(self, "xi", _frac(self.xi))
+        object.__setattr__(self, "zeta", to_fraction(self.zeta))
+        object.__setattr__(self, "xi", to_fraction(self.xi))
         if self.delta is not None:
-            object.__setattr__(self, "delta", _frac(self.delta))
+            object.__setattr__(self, "delta", to_fraction(self.delta))
             if self.delta <= 0:
                 raise DomainError("delta must be positive when given")
         if self.zeta <= 0 or self.xi <= 0:
@@ -364,7 +359,7 @@ def xi_threshold(d: int, zeta: RatLike) -> Fraction:
     """Smallest xi (exclusive) compatible with the strict constraints."""
     if d < 2:
         raise DomainError(f"degree must be >= 2, got {d}")
-    z = _frac(zeta)
+    z = to_fraction(zeta)
     return max(
         Fraction(1, 2) - z,
         Fraction(1, 2) - Fraction(2, d * (d + 1)),

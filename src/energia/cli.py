@@ -36,15 +36,8 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ring.DomainError(f"bad rational {text!r}") from exc
-
-
 def _fractions(text: str) -> tuple[Fraction, ...]:
-    return tuple(_fraction(part) for part in text.split(","))
+    return tuple(ring.to_fraction(part) for part in text.split(","))
 
 
 def _require(args, *names: str) -> None:
@@ -182,7 +175,7 @@ def _cmd_eqcount(args) -> int:
 def _cmd_charsum(args) -> int:
     if args.action == "region":
         _require(args, "zeta", "xi", "d")
-        params = charsum.RegimeParams(_fraction(args.zeta), _fraction(args.xi), args.d, args.r or 1)
+        params = charsum.RegimeParams(args.zeta, args.xi, args.d, args.r or 1)
         _emit(charsum.admissible_exponents(params))
         return 0
     if args.action == "bound":

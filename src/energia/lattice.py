@@ -5,9 +5,13 @@ witness vectors, Minkowski's second theorem is checked as an exact sandwich,
 duality is an involution on canonical (Hermite normal form) bases, and the
 small-nullspace constructor proves its product bound with integer
 comparisons.  The integer linear algebra is one Hermite normal form (with
-its unimodular transform) and one fraction-free elimination; enumeration
-brackets its intervals with integer square roots, and floating point appears
-only in the Monte Carlo estimate of fractional_measure.
+its unimodular transform) and one fraction-free elimination.  Every search
+for lattice points (points within a radius, the shortest vector, the minima,
+the coset search of mahler_basis) is one Fincke-Pohst enumeration, _points,
+over the Gram-Schmidt data that LLL leaves behind: it brackets its intervals
+with integer square roots, filters by the body norm, and visits one of each
+pair +-v.  Floating point appears only in the Monte Carlo estimate of
+fractional_measure.
 """
 from __future__ import annotations
 
@@ -18,23 +22,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .ring import BudgetExceeded, DomainError, ints_from_string
+from .ring import BudgetExceeded, DomainError, RatLike, ints_from_string, to_fraction
 
 MAX_ENUM_DIM = 8
 DEFAULT_NODE_BUDGET = 5_000_000
 
-RatLike = Union[int, str, Fraction]
-
 
 class UnsupportedSize(DomainError):
     """Instance too large for exact enumeration."""
-
-
-def to_fraction(x: RatLike) -> Fraction:
-    """Exact coercion; floats are rejected to protect rational certificates."""
-    if isinstance(x, float):
-        raise DomainError(f"refusing inexact float {x!r}; pass a Fraction or 'p/q' string")
-    return Fraction(x)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +379,6 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
 # exact reduction and enumeration
 
 
-def _ip(u: Sequence[Union[int, Fraction]], v: Sequence[Union[int, Fraction]], qw: Sequence[Fraction]) -> Fraction:
-    return sum((w * Fraction(a)) * Fraction(b) for w, a, b in zip(qw, u, v))
-
-
 def _gram_schmidt(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
     """mu (lower triangular) and squared lengths of the GS vectors under qw."""
     k = len(rows)
@@ -397,32 +388,31 @@ def _gram_schmidt(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
     for i in range(k):
         vec = [Fraction(x) for x in rows[i]]
         for j in range(i):
-            mij = _ip(rows[i], bstar[j], qw) / bn[j]
+            mij = sum(w * a * b for w, a, b in zip(qw, rows[i], bstar[j])) / bn[j]
             mu[i][j] = mij
             vec = [a - mij * b for a, b in zip(vec, bstar[j])]
-        norm = _ip(vec, vec, qw)
+        norm = sum(w * a * a for w, a in zip(qw, vec))
         if norm == 0:
             raise DomainError("rows are linearly dependent")
         bstar.append(vec)
         bn.append(norm)
-    return mu, bn, bstar
+    return mu, bn
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Exact LLL under the diagonal quadratic form qw; same lattice, nicer basis.
+def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)):
+    """(basis, mu, bn): exact LLL under qw, with the Gram-Schmidt data of the
+    returned basis.
 
     Gram-Schmidt is computed once and then updated in place (Cohen, A Course
     in Computational Algebraic Number Theory, Alg. 2.6.3): size reduction
     b_i -= q b_j changes only row i of mu and no squared length, and a swap
     of b_{i-1}, b_i changes mu and the two squared lengths by the standard
     exact formulas.  Arithmetic is in Fractions, so every mu, every test and
-    the returned basis equal those of a full recomputation after each step.
+    the returned data equal those of a full recomputation after each step.
     """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
-    if k <= 1:
-        return b
-    mu, bn, _ = _gram_schmidt(b, qw)
+    mu, bn = _gram_schmidt(b, qw)
     i = 1
     while i < k:
         mi = mu[i]
@@ -450,70 +440,78 @@ def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fra
             i = max(i - 1, 1)
         else:
             i += 1
-    return b
+    return b, mu, bn
 
 
-def _sqrt_floor(fr: Fraction) -> int:
-    if fr < 0:
-        return 0
-    return math.isqrt(fr.numerator // fr.denominator)
+def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
+    """Exact LLL under the diagonal quadratic form qw; same lattice, nicer basis."""
+    if len(rows) <= 1:
+        return [list(map(int, r)) for r in rows]
+    return _lll(rows, qw, delta)[0]
 
 
-def _fp_points(
+def _points(
     rows: Sequence[Sequence[int]],
-    qw: Sequence[Fraction],
-    bound: Fraction,
-    budget: int = DEFAULT_NODE_BUDGET,
-    shift: Optional[Sequence[int]] = None,
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All vectors shift + t . rows with quadratic norm <= bound, exactly.
+    den: int,
+    body: Body,
+    radius: Fraction,
+    budget: int,
+    mu: Sequence[Sequence[Fraction]],
+    bn: Sequence[Fraction],
+    shifted: bool = False,
+) -> list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]]:
+    """(norm, v, t) for every lattice point v = t . rows whose body norm
+    norm = body.norm(v / den) is at most radius; the one enumeration here.
 
-    Fincke-Pohst over the Gram-Schmidt decomposition; interval ends are
-    bracketed with integer square roots and every candidate is re-checked in
-    rational arithmetic before the recursion descends.  Returns (vector,
-    coefficients) pairs; the zero vector is included when it qualifies.
+    Fincke-Pohst (Math. Comp. 44, 1985) over mu and bn, the Gram-Schmidt data
+    of rows under body.quad_weights(), out to the ellipsoid that circumscribes
+    radius * body.  Level i tries the integers t_i around -center that an
+    integer square root of rem / bn_i brackets, keeps those whose exact
+    contribution (t_i + center)^2 bn_i fits in rem, and every leaf is then
+    filtered by its body norm.
+
+    Sign rule (Schnorr-Euchner, Math. Programming 66, 1994): unless shifted,
+    t_i starts at 0 while every coefficient above level i is 0, so of each
+    pair +-v only the one whose last nonzero coefficient is positive is
+    visited, and 0 is never returned.  The node budget counts the nodes of
+    this half tree.  When shifted, the last row is a coset shift with its
+    coefficient fixed at 1: the points are rows[-1] + Z rows[:-1], all visited.
     """
     k = len(rows)
     n = len(rows[0])
-    mu, bn, bstar = _gram_schmidt(rows, qw)
-    if shift is None:
-        sigma = [Fraction(0)] * k
-        rem0 = Fraction(bound)
-        base = [0] * n
-    else:
-        base = [int(x) for x in shift]
-        sigma = [_ip(base, bstar[j], qw) / bn[j] for j in range(k)]
-        ortho = Fraction(_ip(base, base, qw)) - sum(s * s * b for s, b in zip(sigma, bn))
-        rem0 = Fraction(bound) - ortho
-    out: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    if rem0 < 0:
-        return out
-    tvec = [0] * k
+    out: list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]] = []
+    t = [0] * k
     nodes = 0
 
-    def rec(i: int, rem: Fraction) -> None:
+    def rec(i: int, rem: Fraction, half: bool) -> None:
         nonlocal nodes
         if i < 0:
-            v = tuple(
-                base[c] + sum(tvec[j] * rows[j][c] for j in range(k)) for c in range(n)
-            )
-            out.append((v, tuple(tvec)))
+            if not half:
+                v = tuple(sum(x * row[c] for x, row in zip(t, rows)) for c in range(n))
+                nrm = body.norm(v) / den
+                if nrm <= radius:
+                    out.append((nrm, v, tuple(t)))
             return
-        center = sigma[i] + sum(mu[j][i] * tvec[j] for j in range(i + 1, k))
-        radius = _sqrt_floor(rem / bn[i]) + 1
-        start = math.floor(-center)
-        for t in range(start - radius, start + radius + 2):
+        center = sum(mu[j][i] * t[j] for j in range(i + 1, k))
+        if shifted and i == k - 1:
+            tries: Iterable[int] = (1,)
+        else:
+            x = rem / bn[i]
+            r = math.isqrt(x.numerator // x.denominator)
+            start = math.floor(-center)
+            tries = range(r + 1) if half else range(start - r, start + r + 2)
+        for ti in tries:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-            diff = t + center
+            diff = ti + center
             contrib = diff * diff * bn[i]
             if contrib <= rem:
-                tvec[i] = t
-                rec(i - 1, rem - contrib)
-        tvec[i] = 0
+                t[i] = ti
+                rec(i - 1, rem - contrib, half and ti == 0)
+        t[i] = 0
 
-    rec(k - 1, rem0)
+    rec(k - 1, body.ellipsoid_bound(radius) * den * den, not shifted)
     return out
 
 
@@ -526,31 +524,20 @@ def _canonical_sign(vec: tuple[int, ...]) -> tuple[int, ...]:
     return vec
 
 
-def _points_within(rows: Sequence[Sequence[int]], den: int, body: Body, qw: Sequence[Fraction], radius: Fraction, budget: int):
-    """(numerator, body-norm) of every nonzero v = t . rows / den with norm <= radius."""
-    bound = body.ellipsoid_bound(radius) * den * den
-    scale = Fraction(1, den)
-    out = []
-    for v, _ in _fp_points(rows, qw, bound, budget):
-        if any(v):
-            nrm = body.norm([x * scale for x in v])
-            if nrm <= radius:
-                out.append((v, nrm))
-    return out
-
-
 def lattice_points_within(
     lat: IntLattice,
     body: Body,
-    radius: Fraction = Fraction(1),
+    radius: RatLike = Fraction(1),
     budget: int = DEFAULT_NODE_BUDGET,
 ) -> list[tuple[int, ...]]:
-    """Numerators of all nonzero v in L with body-norm(v) <= radius."""
+    """Numerators of all nonzero v in L with body-norm(v) <= radius, each v
+    followed by -v."""
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
-    qw = body.quad_weights()
-    rows = lll_reduce(lat.basis, qw)
-    return [v for v, _ in _points_within(rows, lat.den, body, qw, Fraction(radius), budget)]
+    radius = to_fraction(radius)
+    rows, mu, bn = _lll(lat.basis, body.quad_weights())
+    pts = _points(rows, lat.den, body, radius, budget, mu, bn)
+    return [u for _, v, _ in pts for u in (v, tuple(-x for x in v))]
 
 
 @dataclass(frozen=True)
@@ -582,28 +569,13 @@ def _minima_engine(
     always contains rank-many independent vectors, then picks greedily by
     (norm, lexicographic sign-normalized vector).
     """
-    k = len(rows)
-    qw = body.quad_weights()
-    red = lll_reduce(rows, qw)
-    scale = Fraction(1, den)
-    radius = max(body.norm([x * scale for x in r]) for r in red)
-    bound = body.ellipsoid_bound(radius) * den * den
-    pts = _fp_points(red, qw, bound, budget)
-    seen: dict[tuple[int, ...], Fraction] = {}
-    for v, _ in pts:
-        if not any(v):
-            continue
-        cv = _canonical_sign(v)
-        if cv in seen:
-            continue
-        nrm = body.norm([x * scale for x in cv])
-        if nrm <= radius:
-            seen[cv] = nrm
-    ordered = sorted(seen.items(), key=lambda item: (item[1], item[0]))
-    wits = _independent([vec for vec, _ in ordered], k)
-    if len(wits) != k:
+    red, mu, bn = _lll(rows, body.quad_weights())
+    radius = max(body.norm(r) for r in red) / den
+    norm_of = {_canonical_sign(v): nrm for nrm, v, _ in _points(red, den, body, radius, budget, mu, bn)}
+    wits = _independent(sorted(norm_of, key=lambda v: (norm_of[v], v)), len(rows))
+    if len(wits) != len(rows):
         raise DomainError("enumeration failed to reach full rank")  # unreachable
-    return [seen[vec] for vec in wits], wits
+    return [norm_of[v] for v in wits], wits
 
 
 def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> MinimaProfile:
@@ -626,18 +598,21 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
 
     LLL runs once; enumeration then goes only out to the least body-norm of
     a reduced basis row (or 1, if that is smaller), since the shortest vector
-    and every vector tied with it lie inside that radius.
+    and every vector tied with it lie inside that radius.  This stays on LLL
+    plus Fincke-Pohst, not a search over the Hermite normal form: the
+    congruence pipeline's boxes are about m/H wide in the HNF's first
+    coordinate, so a tree that ranges each HNF coordinate in turn would be
+    astronomically large there, while the reduced basis makes the ellipsoid
+    tree small.
     """
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
-    qw = body.quad_weights()
-    rows = lll_reduce(lat.basis, qw)
-    scale = Fraction(1, lat.den)
-    radius = min([Fraction(1)] + [body.norm([x * scale for x in r]) for r in rows])
-    pts = _points_within(rows, lat.den, body, qw, radius, budget)
+    rows, mu, bn = _lll(lat.basis, body.quad_weights())
+    radius = min([Fraction(1)] + [body.norm(r) / lat.den for r in rows])
+    pts = _points(rows, lat.den, body, radius, budget, mu, bn)
     if not pts:
         return None
-    return min((nrm, _canonical_sign(v)) for v, nrm in pts)[1]
+    return min((nrm, _canonical_sign(v)) for nrm, v, _ in pts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -814,29 +789,15 @@ def mahler_basis(
         if not chosen:
             best = list(_canonical_sign(tuple(u_vec)))
         else:
-            # minimize over the completion coset u + Z(chosen)
-            target = coeff_norm(u_vec)
-            basis_vecs = [
-                [sum(row[i] * lat.basis[i][c] for i in range(n)) for c in range(n)]
-                for row in chosen
-            ]
-            shift_vec = [sum(u_vec[i] * lat.basis[i][c] for i in range(n)) for c in range(n)]
-            bound = body.ellipsoid_bound(target) * den * den
-            cands = _fp_points(basis_vecs, qw, bound, budget, shift=shift_vec)
-            best = None
-            best_key = None
-            for vec, z in cands:
-                nrm = body.norm([x * scale for x in vec])
-                if nrm > target:
-                    continue
-                t_full = [u + sum(z[i] * chosen[i][c] for i in range(len(chosen))) for c, u in enumerate(u_vec)]
-                cvec = _canonical_sign(tuple(vec))
-                key = (nrm, cvec)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = t_full if cvec == tuple(vec) else [-x for x in t_full]
-            if best is None:
-                best = list(_canonical_sign(tuple(u_vec)))  # the shift itself qualifies
+            # minimize over the completion coset u + Z(chosen), u the shift row;
+            # u itself qualifies, so the search is never empty
+            coeffs = chosen + [u_vec]
+            vecs = [[sum(row[i] * lat.basis[i][c] for i in range(n)) for c in range(n)] for row in coeffs]
+            mu, bn = _gram_schmidt(vecs, qw)
+            pts = _points(vecs, den, body, coeff_norm(u_vec), budget, mu, bn, shifted=True)
+            _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
+            sign = 1 if _canonical_sign(vec) == vec else -1
+            best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]
         chosen.append(list(best))
         norms.append(coeff_norm(best))
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from fractions import Fraction
+from typing import Iterator, Sequence, Union
 
 
 class DomainError(ValueError):
@@ -309,6 +310,23 @@ def ints_from_string(text: str) -> tuple[int, ...]:
         return tuple(int(part.strip()) for part in text.split(","))
     except ValueError as exc:
         raise DomainError(f"bad integer list {text!r}") from exc
+
+
+RatLike = Union[int, str, Fraction]
+
+
+def to_fraction(x: RatLike) -> Fraction:
+    """Exact coercion to a Fraction.
+
+    Floats are refused to protect rational certificates; malformed strings
+    and zero denominators are refused too, all with DomainError.
+    """
+    if isinstance(x, float):
+        raise DomainError(f"refusing inexact float {x!r}; pass a Fraction or 'p/q' string")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"bad rational {x!r}") from exc
 
 
 def check_interval_fits(f: PolyMod, interval: Interval) -> None:

@@ -212,19 +212,18 @@ def make_membership_test(
     return member
 
 
-def minima_by_scan(
+def points_by_scan(
     basis_rows: Sequence[Sequence[int]],
     den: int,
     norm: Callable[[Sequence[Fraction]], Fraction],
     numerator_box: Sequence[int],
     cap: Fraction,
-) -> tuple[list[Fraction], int]:
-    """Ground-truth successive minima by scanning a numerator box.
+) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """(norm, numerator) of every nonzero lattice vector of norm <= cap, by
+    scanning a numerator box; sorted by norm, then numerator.
 
     numerator_box[i] bounds |den * x_i| for every lattice vector of norm <=
-    cap; the caller must derive it from the body shape.  Returns the greedy
-    minima of all scanned points with norm <= cap, plus how many points
-    qualified (sanity signal that the box was not empty).
+    cap; the caller must derive it from the body shape.
     """
     member = make_membership_test(basis_rows, den)
     n = len(basis_rows)
@@ -242,9 +241,25 @@ def minima_by_scan(
             scan(i + 1, prefix + (v,))
 
     scan(0, ())
-    found.sort(key=lambda t: (t[0], t[1]))
+    found.sort()
+    return found
+
+
+def minima_by_scan(
+    basis_rows: Sequence[Sequence[int]],
+    den: int,
+    norm: Callable[[Sequence[Fraction]], Fraction],
+    numerator_box: Sequence[int],
+    cap: Fraction,
+) -> tuple[list[Fraction], int]:
+    """Ground-truth successive minima by scanning a numerator box.
+
+    Returns the greedy minima of all points_by_scan finds, plus how many
+    points qualified (sanity signal that the box was not empty).
+    """
+    found = points_by_scan(basis_rows, den, norm, numerator_box, cap)
     by_vec = {vec: nv for nv, vec in found}
-    minima = [by_vec[vec] for vec in greedy_independent([vec for _, vec in found], n)]
+    minima = [by_vec[vec] for vec in greedy_independent([vec for _, vec in found], len(basis_rows))]
     return minima, len(found)
 
 

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from energia.lattice import (
     UnsupportedSize,
     WeightedBox,
     _independent,
+    _lll,
     bv_small_solutions,
     congruence_lattice,
     count_lattice_points,
@@ -210,7 +212,7 @@ def test_elimination_against_fraction_oracles(mat, data):
 
 
 def test_to_fraction_rejects_floats():
-    assert to_fraction("3/4") == Fraction(3, 4)
+    assert to_fraction("3/4") == to_fraction(" 3/4 ") == to_fraction(Fraction(3, 4)) == Fraction(3, 4)
     with pytest.raises(DomainError):
         to_fraction(0.5)
 
@@ -302,7 +304,13 @@ def test_lll_in_place_matches_recompute_oracle():
         cases.append((lat.basis, _pipeline_box(d, m, rng.randrange(1, 5)).quad_weights()))
     assert len(cases) >= 300
     for rows, qw in cases:
-        assert lll_reduce(rows, qw) == oracles.lll_recompute(rows, qw)
+        red = lll_reduce(rows, qw)
+        assert red == oracles.lll_recompute(rows, qw)
+        # the Gram-Schmidt data kept up to date in place is that of the result
+        assert _lll(rows, qw) == (red, *oracles.gram_schmidt_plain(red, qw))
+    # one row is returned as it is, even the zero row that has no Gram-Schmidt data
+    for rows in ([[0, 0]], [[3, -4]]):
+        assert lll_reduce(rows, (Fraction(1),) * 2) == oracles.lll_recompute(rows, (Fraction(1),) * 2) == rows
 
 
 def test_shortest_vector_matches_full_radius_oracle():
@@ -382,6 +390,35 @@ def test_lattice_points_within_radius():
     pts = lattice_points_within(z2, WeightedBox((Fraction(2), Fraction(1))))
     assert len(pts) == 14  # 5 x 3 grid minus origin
     assert count_lattice_points(z2, WeightedBox((Fraction(2), Fraction(1)))) == 15
+    # the radius is coerced exactly: a float is refused, not rounded to a binary fraction
+    box = WeightedBox((2, 1))
+    assert lattice_points_within(z2, box, Fraction(1, 2)) == lattice_points_within(z2, box, "1/2") == [(1, 0), (-1, 0)]
+    with pytest.raises(DomainError):
+        lattice_points_within(z2, box, 0.5)
+
+
+def test_lattice_points_within_matches_scan_oracle():
+    rng = random.Random(2707)
+    radii = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    widths = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
+    for n, den, dual, radius in itertools.product((2, 3), (1, 2, 3), (False, True), radii):
+        lat = IntLattice(_random_lattice(n, rng).basis, den)
+        cs = tuple(rng.choice(widths) for _ in range(n))
+        body = DualBody(cs) if dual else WeightedBox(cs)
+        # |x_i| <= radius / c_i in the cross-polytope, radius * c_i in the box
+        box = [int(den * radius * (1 / c if dual else c)) for c in cs]
+        if dual:
+            norm = lambda vec: sum(c * abs(v) for v, c in zip(vec, cs))
+        else:
+            norm = lambda vec: max(abs(v) / c for v, c in zip(vec, cs))
+        want = oracles.points_by_scan(lat.basis, den, norm, box, radius)
+        got = lattice_points_within(lat, body, radius)
+        assert sorted(got) == sorted(v for _, v in want)
+        assert len(set(got)) == len(got) and (0,) * n not in got
+        # each v is followed by -v
+        assert got[1::2] == [tuple(-x for x in v) for v in got[::2]]
+        if radius == 1:
+            assert count_lattice_points(lat, body) == len(want) + 1
 
 
 def test_minkowski_random():

@@ -22,7 +22,10 @@ from energia.ring import (
     poly_from_string,
     poly_values,
     primes_up_to,
+    to_fraction,
 )
+from energia.charsum import RegimeParams, xi_threshold
+from energia.lattice import DualBody, WeightedBox, fractional_measure
 
 from oracles import poly_mod
 
@@ -181,6 +184,23 @@ def test_parsers():
         poly_from_string("1,x", 7)
     with pytest.raises(DomainError):
         ints_from_string("a,b")
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: to_fraction(0.5), id="float"),
+    pytest.param(lambda: to_fraction("1/0"), id="zero-denominator"),
+    pytest.param(lambda: to_fraction("x"), id="malformed"),
+    pytest.param(lambda: to_fraction(None), id="none"),
+    pytest.param(lambda: WeightedBox(("1/0",)), id="box-zero-denominator"),
+    pytest.param(lambda: DualBody(("1/2", 0.25)), id="cross-float"),
+    pytest.param(lambda: fractional_measure([[1]], ["1/0"]), id="eps-zero-denominator"),
+    pytest.param(lambda: xi_threshold(2, "1/0"), id="zeta-zero-denominator"),
+    pytest.param(lambda: RegimeParams("x", "1/3", 2), id="zeta-malformed"),
+    pytest.param(lambda: RegimeParams("1/4", 0.3, 2), id="xi-float"),
+])
+def test_bad_rationals_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(-9, 9))
