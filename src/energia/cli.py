@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--query", action="append", help="mahler: expand this lattice vector")
     pl.set_defaults(func=_cmd_lattice)
 
-    pq = sub.add_parser("eqcount", help="divisor-method equation and congruence counts")
+    pq = sub.add_parser("eqcount", help="exact equation and congruence counts over boxes")
     pq.add_argument("action", choices=["eq", "sym", "cong", "constant"])
     pq.add_argument("--coeffs", help="integer coefficients a_0,a_1,...")
     pq.add_argument("--target", type=int, default=0)

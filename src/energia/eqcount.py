@@ -3,11 +3,12 @@
 The central routine turns a congruence f(n) = f(m) + shift (mod m) over a
 short interval into a genuine integer equation: a short vector in the lattice
 of coefficient relations pins the power differences down to a single integer
-value, and the integer equation is then solved exactly by a divisor search
-inside the box: each shift n - m divides the value and each root divides a
-constant term, and only divisors up to H are ever tried.  The count is
-always recomputed by brute force as well; the two totals must agree or the
-call fails loudly.
+value, and the integer equation is then solved exactly inside the box: each
+shift n - m is a divisor of the value up to H, and for each shift the roots
+of a quotient polynomial are isolated exactly by differentiation and integer
+bisection, with nothing factored.  The count is always recomputed by brute
+force as well; the two totals must agree or the call fails loudly.  Both
+counts price their work in steps against BRUTE_BUDGET before doing it.
 """
 from __future__ import annotations
 
@@ -32,47 +33,74 @@ from .ring import (
     DomainError,
     PolyMod,
     centered,
-    divisors_of,
     int_poly_eval,
     inv_mod,
 )
 
-BRUTE_BUDGET = 10**8  # pair enumerations
+BRUTE_BUDGET = 1_500_000  # steps: values, divisor candidates, root-search evaluations, pairs
+
+
+def _charge(stage: str, steps: int, budget: int = BRUTE_BUDGET) -> None:
+    """BudgetExceeded when a stage would take more steps than the budget."""
+    if steps > budget:
+        raise BudgetExceeded(f"{stage}: {steps} steps exceed the budget {budget}")
 
 
 def poly_shift_coeffs(coeffs: Sequence[int], t: int) -> list[int]:
-    """Coefficients of f(x + t) for integer f, exactly."""
-    d = len(coeffs) - 1
-    out = [0] * (d + 1)
-    for k, a in enumerate(coeffs):
-        if a == 0:
-            continue
-        for i in range(k + 1):
-            out[i] += a * math.comb(k, i) * t ** (k - i)
+    """Coefficients of f(x + t) for integer f, exactly (Taylor shift by Horner)."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for k in range(len(out) - 2, i - 1, -1):
+            out[k] += t * out[k + 1]
     return out
 
 
+def _roots_in(cs: Sequence[int], lo: int, hi: int) -> list[int]:
+    """Sorted integer roots in [lo, hi] of a nonzero integer polynomial.
+
+    Real-root isolation by differentiation (Collins & Loos, SYMSAC 1976), run
+    up the chain of derivatives from the first line to f.  Each g in the chain
+    gets integer cuts lo = x_0 < ... < x_k = hi: g is monotone between the
+    cuts of g' (on all of [lo, hi] if g is a line), and a piece where g
+    changes sign strictly is bisected down to the unit step where it does,
+    whose ends become cuts too.  So g keeps one sign on every piece longer
+    than one, and a nonzero g vanishes there only at the ends: every root of
+    f is a cut.  O(d^2 log(hi - lo)) evaluations, and nothing is factored.
+    """
+    if lo > hi:
+        return []
+    chain = [list(cs)]
+    while len(chain[-1]) > 2:
+        chain.append([k * c for k, c in enumerate(chain[-1])][1:])
+    cuts = [(lo, 0), (hi, 0)] if lo < hi else [(lo, 0)]
+    for g in reversed(chain):
+        out: list[tuple[int, int]] = []  # (x, g(x))
+        for b, _ in cuts:
+            vb = int_poly_eval(g, b)
+            if out and out[-1][1] * vb < 0:
+                (x, vx), (y, vy) = out[-1], (b, vb)
+                while y - x > 1:
+                    mid = (x + y) // 2
+                    vm = int_poly_eval(g, mid)
+                    if vm * vx > 0:
+                        x, vx = mid, vm
+                    else:
+                        y, vy = mid, vm
+                out += [c for c in ((x, vx), (y, vy)) if out[-1][0] < c[0] < b]
+            out.append((b, vb))
+        cuts = out
+    return [x for x, v in cuts if v == 0]
+
+
 def integer_roots(coeffs: Sequence[int]) -> set[int]:
-    """All integer roots of a nonzero integer polynomial."""
+    """All integer roots of a nonzero integer polynomial, within its Cauchy bound."""
     cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise DomainError("zero polynomial has every root")
-    roots: set[int] = set()
-    z = 0
-    while cs[z] == 0:
-        z += 1
-    if z:
-        roots.add(0)
-        cs = cs[z:]
-    if len(cs) == 1:
-        return roots
-    for r in divisors_of(abs(cs[0])):
-        for s in (r, -r):
-            if int_poly_eval(cs, s) == 0:
-                roots.add(s)
-    return roots
+    bound = 1 + max(map(abs, cs[:-1]), default=0) // abs(cs[-1])
+    return set(_roots_in(cs, -bound, bound))
 
 
 def _divisors_upto(n: int, bound: int) -> list[int]:
@@ -87,21 +115,6 @@ def _divisors_upto(n: int, bound: int) -> list[int]:
         return [t for t in range(1, bound + 1) if n % t == 0]
     small = [t for t in range(1, root + 1) if n % t == 0]
     return sorted({x for t in small for x in (t, n // t) if x <= bound})
-
-
-def _roots_between(coeffs: Sequence[int], lo: int, hi: int) -> list[int]:
-    """Integer roots in [lo, hi], lo >= 1, of a polynomial that is not constant.
-
-    A nonzero root divides the lowest nonzero coefficient, so only its
-    divisors up to hi are tried.
-    """
-    z = 0
-    while coeffs[z] == 0:
-        z += 1
-    cs = coeffs[z:]
-    if len(cs) == 1:
-        return []  # c x^z has only the root 0
-    return [r for r in _divisors_upto(cs[0], hi) if r >= lo and int_poly_eval(cs, r) == 0]
 
 
 def _clean_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -121,19 +134,27 @@ def count_eq(
 ):
     """#{(n, m) in [1,H]^2 : f(n) - f(m) = target} over the integers.
 
-    Divisor method inside the box: a shift t = n - m != 0 has |t| < H and
-    divides the target, and the quotient (f(m+t) - f(m))/t is a polynomial
-    with integer coefficients, so m is a root hiding among the divisors of
-    its constant term that lie in [1, H].  Both searches scan at most
-    min(H, sqrt) candidates; the target is never factored.
-    With collect=True also returns the sorted tuple of solution pairs.
+    A shift t = n - m != 0 has |t| < H and divides the target, and the
+    quotient (f(m+t) - f(m))/t is a polynomial with integer coefficients
+    whose roots m in the box are isolated exactly (`_roots_in`).  The shift
+    scan takes min(H, sqrt|target|) steps (H when the target is 0); it, the
+    root searches and the pairs collected are priced against BRUTE_BUDGET
+    before each runs.  With collect=True also returns the sorted tuple of
+    solution pairs.
     """
     cs = _clean_coeffs(coeffs)
     if H < 1:
         raise DomainError(f"H must be >= 1, got {H}")
-    sols = {(n, n) for n in range(1, H + 1)} if target == 0 else set()
-    extra = 0  # uncollected bulk solutions (only when the quotient is constant)
-    for t in (s for t in _divisors_upto(target, H - 1) for s in (t, -t)):
+    d = len(cs) - 1
+    steps = H - 1 if target == 0 else min(H - 1, math.isqrt(abs(target)))
+    if collect and (target == 0 or d == 1):
+        steps += H  # the diagonal, or the bulk of a linear f's one shift
+    _charge("count_eq", steps)
+    shifts = [s for t in _divisors_upto(target, H - 1) for s in (t, -t)]
+    _charge("count_eq", steps + len(shifts) * d * d * H.bit_length())
+    sols = {(n, n) for n in range(1, H + 1)} if target == 0 and collect else set()
+    extra = H if target == 0 and not collect else 0  # counted, not collected: diagonal and bulk
+    for t in shifts:
         shifted = poly_shift_coeffs(cs, t)
         diff = [a - b for a, b in zip(shifted, cs)]
         q = []
@@ -151,7 +172,7 @@ def count_eq(
                 else:
                     extra += hi - lo + 1
             continue
-        for m in _roots_between(eqn, lo, hi):
+        for m in _roots_in(eqn, lo, hi):
             sols.add((m + t, m))
     count = len(sols) + extra
     if collect:
@@ -339,23 +360,24 @@ def _certify(
 
 
 def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET):
-    """O(H^2) reference count with solutions, via the value histogram."""
-    if H * H > budget:
-        raise BudgetExceeded(f"H^2 = {H * H} pair checks exceed the budget {budget}")
+    """Reference count with solutions, via the value histogram.
+
+    Priced in steps: the H values, refused before f is evaluated, then the
+    solutions, whose exact number the histogram gives before any is collected.
+    """
+    _charge("brute_congruence", H, budget)
     m = f.modulus
     vals = [f(x) for x in range(1, H + 1)]
     where: dict[int, list[int]] = {}
     for x, v in enumerate(vals, start=1):
         where.setdefault(v, []).append(x)
-    sols = []
-    for y, v in enumerate(vals, start=1):
-        for x in where.get((v + shift) % m, ()):
-            sols.append((x, y))
-    sols.sort()
-    return len(sols), tuple(sols)
+    hits = [where.get((v + shift) % m, ()) for v in vals]
+    count = sum(map(len, hits))
+    _charge("brute_congruence", H + count, budget)
+    return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))
 
 
-def _pipeline(f: PolyMod, shift: int, H: int, certify: bool) -> PipelineCertificate:
+def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) -> PipelineCertificate:
     m = f.modulus
     d = f.degree
     u = inv_mod(f.coeffs[-1], m)
@@ -385,8 +407,7 @@ def _pipeline(f: PolyMod, shift: int, H: int, certify: bool) -> PipelineCertific
     if w0 == 0:
         # ell * lam = 0 mod m: the relation carries no value information
         # (composite m only); fall back to the exact histogram count
-        _, sols = brute_congruence(f, shift, H)
-        return PipelineCertificate(monic, lam, b, ell, 0, reach, "collision", sols, 0, None)
+        return PipelineCertificate(monic, lam, b, ell, 0, reach, "collision", brute_sols, 0, None)
 
     if abs(w0) > reach:
         return PipelineCertificate(monic, lam, b, ell, w0, reach, "empty", (), 0, None)
@@ -402,7 +423,7 @@ def count_congruence(f: PolyMod, shift: int, H: int, certify: bool = True) -> Eq
     """Exact #{(n, m) in [1,H]^2 : f(n) = f(m) + shift (mod modulus)}.
 
     Brute force always runs.  Inside the regime H <= c * m^(2/d(d+1)) the
-    constructive lattice-and-divisor pipeline runs as well and the two counts
+    constructive lattice-and-roots pipeline runs as well and the two counts
     must agree exactly; outside it the pipeline is declined, not faked.
     """
     m = f.modulus
@@ -425,7 +446,7 @@ def count_congruence(f: PolyMod, shift: int, H: int, certify: bool = True) -> Eq
             brute_count, "brute", m, H, shift, d,
             declined=f"H = {H} exceeds {c} * m^(2/{d * (d + 1)}); lattice step not certified",
         )
-    cert = _pipeline(f, shift, H, certify)
+    cert = _pipeline(f, shift, H, certify, brute_sols)
     pipeline_count = len(cert.solutions)
     if pipeline_count != brute_count or tuple(cert.solutions) != brute_sols:
         raise DomainError(

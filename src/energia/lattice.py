@@ -535,6 +535,8 @@ def lattice_points_within(
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
     radius = to_fraction(radius)
+    if radius < 0:
+        raise DomainError(f"radius must be >= 0, got {radius}")
     rows, mu, bn = _lll(lat.basis, body.quad_weights())
     pts = _points(rows, lat.den, body, radius, budget, mu, bn)
     return [u for _, v, _ in pts for u in (v, tuple(-x for x in v))]

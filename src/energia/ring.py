@@ -1,4 +1,4 @@
-"""Exact arithmetic over residue rings: polynomials mod m, intervals, primes, divisors.
+"""Exact arithmetic over residue rings: polynomials mod m, intervals, primes, factoring.
 
 Everything here runs on plain Python integers, so values like power sums up
 to H^d never lose precision.  The polynomial coefficient convention is
@@ -94,12 +94,6 @@ class Factorization:
         if primes != sorted(set(primes)):
             raise DomainError("primes must be strictly increasing")
 
-    def divisor_count(self) -> int:
-        tau = 1
-        for _, e in self.factors:
-            tau *= e + 1
-        return tau
-
 
 def eval_poly(f: PolyMod, x: int) -> int:
     """Horner evaluation of f at x, reduced into [0, m)."""
@@ -164,31 +158,6 @@ def factorize(w: int) -> Factorization:
         factors.append((n, 1))
     factors.sort()
     return Factorization(w, tuple(factors))
-
-
-def divisors_of(n: int) -> list[int]:
-    """Sorted positive divisors of n != 0."""
-    fac = factorize(n)
-    divs = [1]
-    for p, e in fac.factors:
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
-def divisor_pairs(w: int) -> list[tuple[int, int]]:
-    """All ordered integer pairs (d1, d2) with d1*d2 = w, both signs.
-
-    Exactly 2*tau(|w|) pairs; w = 0 is rejected because its factorizations
-    are not finite.
-    """
-    if w == 0:
-        raise DomainError("w must be nonzero")
-    pairs: list[tuple[int, int]] = []
-    for e in divisors_of(w):
-        pairs.append((e, w // e))
-        pairs.append((-e, -(w // e)))
-    pairs.sort()
-    return pairs
 
 
 def centered(x: int, m: int) -> int:

@@ -292,6 +292,19 @@ def test_parse_errors_exit_2_without_traceback(capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    # the diagonal of target 0 would be an H-element set of pairs
+    ["eqcount", "eq", "--coeffs", "0,0,1", "--target", "0", "--H", "100000000"],
+    # the shift scan would take H - 1 = 10^8 - 1 steps
+    ["eqcount", "eq", "--coeffs", "0,0,1", "--target", str(10**39 + 1), "--H", "100000000"],
+])
+def test_eqcount_budget_refuses_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error: count_eq")
+    assert time.perf_counter() - t0 < 1.0
+
+
 PSI_13 = 3317044064679887385961981
 
 
@@ -332,7 +345,16 @@ def _argvs(draw):
     m = draw(st.sampled_from(FUZZ_MODULI))
     H = draw(st.sampled_from([-1, 0, 1, 5, m, m + 1, 300000]))
     poly = draw(st.sampled_from(GOOD_POLYS * 3 + BAD_POLYS))
-    if draw(st.booleans()):
+    command = draw(st.sampled_from(["energy", "verify", "eq", "cong"]))
+    if command == "eq":
+        target = draw(st.sampled_from([0, 1, -3, 720720, 10**12 + 39, 10**39 + 1, -(10**400)]))
+        H = draw(st.sampled_from([-1, 0, 1, 5, 300000, 10**8, 10**400]))
+        return ["eqcount", "eq", "--coeffs", poly, "--target", str(target), "--H", str(H)], None
+    if command == "cong":
+        H = draw(st.sampled_from([-1, 0, 1, 5, m, m + 1, 10**8]))
+        shift = draw(st.sampled_from([0, 1, 3, -1, m, 10**400]))
+        return ["eqcount", "cong", "--poly", poly, "--modulus", str(m), "--H", str(H), "--shift", str(shift)], None
+    if command == "energy":
         what = draw(st.sampled_from(["report", "T", "plus", "times", "sumset"]))
         return ["energy", "--modulus", str(m), "--poly", poly, "--H", str(H), "--what", what], None
     degrees = draw(st.sampled_from(["2", "3", "2, 3", "1", "x"]))
@@ -345,6 +367,9 @@ def _argvs(draw):
 @example((["energy", "--modulus", str(10**400), "--poly", "0,0,1", "--H", str(10**400)], None))
 @example((["verify", "--config", None], f"d = 2, 3\nm = {PSI_13}\nh = 300000\nseeds = 0\n"))
 @example((["verify", "--config", None], "d = 2, 3\nm = 1009\nh = 1009\nseeds = 0\n"))
+@example((["eqcount", "eq", "--coeffs", "0,1", "--target", "0", "--H", "100000000"], None))
+@example((["eqcount", "eq", "--coeffs", "5,0,0,1", "--target", "0", "--H", "300000"], None))
+@example((["eqcount", "cong", "--poly", "3,1,1", "--modulus", str(PSI_13), "--H", str(PSI_13), "--shift", "3"], None))
 @settings(max_examples=120, deadline=None)
 def test_cli_fuzz_exits_0_or_2_with_an_error_line(tmp_path_factory, case):
     argv, config = case

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from energia.eqcount import (
+    BRUTE_BUDGET,
+    _roots_in,
     brute_congruence,
     count_congruence,
     count_eq,
@@ -32,8 +34,44 @@ def test_integer_roots():
     assert integer_roots((0, 0, 1)) == {0}
     assert integer_roots((0, -4, 0, 1)) == {0, 2, -2}
     assert integer_roots((1, 0, 1)) == set()
+    # (2x + 1)(x - 2): the root 2 exceeds max|a_i| / |a_d| = 3/2, not the Cauchy bound
+    assert integer_roots((-2, -3, 2)) == {2}
     with pytest.raises(DomainError):
         integer_roots((0, 0, 0))
+
+
+def _times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_root_isolation_matches_exhaustive_scan():
+    # clustered and repeated integer roots, plus irreducible factors whose
+    # real roots fall between neighbouring integers
+    rng = random.Random(38)
+    for _ in range(3000):
+        f = [rng.choice((-3, -2, -1, 1, 2, 3))]
+        centre = rng.randrange(-40, 40)
+        for _ in range(rng.randrange(6)):
+            if rng.random() < 0.7:
+                f = _times(f, [-(centre + rng.randrange(-2, 3)), 1])
+            else:
+                f = _times(f, [rng.randrange(-30, 31), rng.randrange(-4, 5) or 1])
+        lo = rng.randrange(-60, 60)
+        hi = lo + rng.randrange(-2, 90)
+        want = [x for x in range(lo, hi + 1) if oracles.poly_int(f, x) == 0]
+        assert _roots_in(f, lo, hi) == want, (f, lo, hi)
+    # 2(x-38)(x-39)^2: the double root is an end of a unit piece of f'
+    f = _times([2], _times([-38, 1], _times([-39, 1], [-39, 1])))
+    assert _roots_in(f, 0, 100) == [38, 39]
+    assert _roots_in(f, 39, 39) == [39]
+    assert _roots_in(f, 38, 37) == []
+    assert _roots_in([-7, 2], -10, 10) == [] and _roots_in([-8, 2], -10, 10) == [4]
+    assert _roots_in([5], -10, 10) == [] and _roots_in([5], 3, 3) == []
+    assert _roots_in([0, 0, 1], -(10**30), 10**30) == [0]
 
 
 def test_count_eq_frozen():
@@ -122,14 +160,14 @@ def test_count_eq_prime_target_without_factoring():
     assert dt < 0.1, dt
 
 
-def test_integer_roots_of_a_prime_constant_term_stop_at_the_factoring_budget():
-    # the roots of x^2 - p divide p, and factoring p near 1e16 by trial
-    # division would take seconds
+def test_integer_roots_of_large_constant_terms_without_factoring():
+    # x^2 - p: trial division of p near 1e16 would take seconds
     p = _prime_at_least(10**16)
-    t0 = time.perf_counter()
-    with pytest.raises(BudgetExceeded, match="trial division"):
-        integer_roots((-p, 0, 1))
-    assert time.perf_counter() - t0 < 0.1
+    q = _prime_at_least(10**8)
+    for coeffs, want in (((-p, 0, 1), set()), ((-q * q, 0, 1), {q, -q})):
+        t0 = time.perf_counter()
+        assert integer_roots(coeffs) == want
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_count_symmetric():
@@ -200,13 +238,53 @@ def test_brute_congruence_matches_oracle():
         assert got == want
         assert sorted(sols) == sorted(pairs)
     with pytest.raises(BudgetExceeded):
-        brute_congruence(PolyMod((0, 0, 1), 10**9 + 7), 1, 10**5, budget=10**6)
+        brute_congruence(PolyMod((0, 0, 1), 10**9 + 7), 1, 10**5, budget=10**5 - 1)
+
+
+def test_brute_congruence_prices_values_then_solutions():
+    # H values are refused before f is evaluated
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="brute_congruence"):
+        brute_congruence(PolyMod((0, 0, 1), 10**400), 1, BRUTE_BUDGET + 1)
+    assert time.perf_counter() - t0 < 0.1
+    # 7n = 7m + 7 (mod 49) holds whenever n = m + 1 (mod 7): H + count steps
+    f = PolyMod((0, 7), 49)
+    want = oracles.count_congruence_pairs((0, 7), 49, 7, 30)[0]
+    assert want == 129 and brute_congruence(f, 7, 30, budget=30 + want)[0] == want
+    with pytest.raises(BudgetExceeded, match=f"{30 + want} steps"):
+        brute_congruence(f, 7, 30, budget=30 + want - 1)
 
 
 def _prime_at_least(n):
     while not is_probable_prime(n):
         n += 1
     return n
+
+
+def test_count_congruence_certified_with_the_cross_check_at_H_1e5():
+    # the README family at m = 1e30, with a shift attained by the pair (H - 1, 2)
+    m, H = 10**30, 10**5
+    f = PolyMod((5, 3, 1), m)
+    res = count_congruence(f, (f(H - 1) - f(2)) % m, H)
+    assert res.method == "pipeline" and res.declined is None
+    assert res.certificate.branch == "divisor" and res.certificate.bv.consistent
+    assert res.certificate.solutions == ((H - 1, 2),)
+
+
+def test_count_eq_prices_its_scans_before_building_anything():
+    # a linear f's one shift t = 3 holds H - 3 pairs: counted at once, and
+    # priced only when they are collected
+    H = BRUTE_BUDGET
+    assert count_eq((0, 1), 3, H) == H - 3
+    with pytest.raises(BudgetExceeded, match="count_eq"):
+        count_eq((0, 1), 3, H, collect=True)
+    # a scan of 10^8 - 1 shift candidates; a short scan of 19999 shifts,
+    # each of which would need a root search (the CLI tests pin the others)
+    for coeffs, target, H in (((0, 1), 0, 10**8), ((0, 0, 1), 0, 20000)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="count_eq"):
+            count_eq(coeffs, target, H)
+        assert time.perf_counter() - t0 < 0.1
 
 
 def test_count_congruence_pipeline_in_regime():

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import time
 import weakref
 from fractions import Fraction
 
@@ -395,6 +396,12 @@ def test_lattice_points_within_radius():
     assert lattice_points_within(z2, box, Fraction(1, 2)) == lattice_points_within(z2, box, "1/2") == [(1, 0), (-1, 0)]
     with pytest.raises(DomainError):
         lattice_points_within(z2, box, 0.5)
+    # a negative radius is refused before any enumeration; radius 0 holds no nonzero point
+    assert lattice_points_within(z2, box, 0) == []
+    t0 = time.perf_counter()
+    with pytest.raises(DomainError, match="radius"):
+        lattice_points_within(z2, WeightedBox((1, 1)), -30)
+    assert time.perf_counter() - t0 < 0.05
 
 
 def test_lattice_points_within_matches_scan_oracle():

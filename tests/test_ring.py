@@ -10,8 +10,6 @@ from energia.ring import (
     PolyMod,
     _strong_lucas,
     centered,
-    divisor_pairs,
-    divisors_of,
     eval_poly,
     factorize,
     image_set,
@@ -97,21 +95,8 @@ def test_factorization_invariants():
         factorize(0)
     with pytest.raises(DomainError):
         Factorization(12, ((2, 1), (3, 1)))  # 6 != 12
-    assert factorize(12).divisor_count() == 6
-
-
-def test_divisors():
-    assert divisors_of(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors_of(-12) == [1, 2, 3, 4, 6, 12]
-    assert divisors_of(1) == [1]
-
-
-def test_divisor_pairs_count_and_product():
-    pairs = divisor_pairs(12)
-    assert len(pairs) == 2 * 6
-    assert all(a * b == 12 for a, b in pairs)
-    with pytest.raises(DomainError):
-        divisor_pairs(0)
+    assert factorize(12).factors == ((2, 2), (3, 1))
+    assert factorize(-12).factors == ((2, 2), (3, 1))
 
 
 @given(st.integers(-100, 100), st.integers(2, 50))
