@@ -28,6 +28,13 @@ from .ring import (
 )
 
 TABLE_BUDGET = 10**6  # entries of a discrete-log table
+SUM_BUDGET = 10**6  # character evaluations of one bilinear sum, about 1 s
+
+
+def price_sum(evaluations: int, what: str) -> None:
+    """Refuse a sum of more than SUM_BUDGET character evaluations, before it runs."""
+    if evaluations > SUM_BUDGET:
+        raise BudgetExceeded(f"{what} needs {evaluations} character evaluations, over SUM_BUDGET = {SUM_BUDGET}")
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -199,6 +206,11 @@ class BilinearInstance:
 
     @classmethod
     def uniform(cls, residues: Sequence[int], H: int) -> "BilinearInstance":
+        """Unit weights on both sides; |residues| * H is priced before any
+        weight is built."""
+        if not residues:
+            raise DomainError("residue set must be nonempty")
+        price_sum(len(residues) * H, "a bilinear sum")
         rs = tuple(residues)
         return cls(rs, (1,) * len(rs), H, (1,) * H)
 
@@ -213,7 +225,9 @@ class BilinearRecord:
 
 
 def bilinear_W(table: CharTable, inst: BilinearInstance) -> BilinearRecord:
-    """W = sum over s in the set, x in [1,H] of alpha_s beta_x chi(s + x)."""
+    """W = sum over s in the set, x in [1,H] of alpha_s beta_x chi(s + x);
+    refused past SUM_BUDGET character evaluations."""
+    price_sum(len(inst.residues) * inst.H, "a bilinear sum")
     total = 0j
     for s, ca in zip(inst.residues, inst.alpha):
         if ca == 0:
@@ -247,7 +261,11 @@ class PrimeBilinearRecord:
 
 
 def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBilinearRecord:
-    """Sums of |inner chi(f(q) + r)| over primes q <= Q, r <= R, both orders."""
+    """Sums of |inner chi(f(q) + r)| over primes q <= Q, r <= R, both orders.
+
+    The two orders take 2 pi(Q) pi(R) character evaluations, refused past
+    SUM_BUDGET before f or any character is evaluated.
+    """
     p = table.modulus
     if f.modulus != p:
         raise DomainError(f"polynomial modulus {f.modulus} does not match the table's {p}")
@@ -257,6 +275,7 @@ def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBil
     rs = primes_up_to(R)
     if not qs or not rs:
         return PrimeBilinearRecord(0.0, 0.0, len(qs), len(rs), 0.0, 0.0, None)
+    price_sum(2 * len(qs) * len(rs), "a prime bilinear sum")
     fq = [f(q) for q in qs]
     by_q = 0.0
     for v in fq:

@@ -191,6 +191,8 @@ def _cmd_charsum(args) -> int:
         if args.set:
             residues = ring.ints_from_string(args.set)
         elif args.S:
+            # priced before the S residues are built, which alone cost S
+            charsum.price_sum(args.S * max(args.H, 1), "a bilinear sum")
             residues = tuple(range(1, args.S + 1))
         else:
             raise ring.DomainError("pass --set or --S for the residue side")

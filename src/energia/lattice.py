@@ -8,9 +8,10 @@ comparisons.  The integer linear algebra is one Hermite normal form (with
 its unimodular transform) and one fraction-free elimination.  Every search
 for lattice points (points within a radius, the shortest vector, the minima,
 the coset search of mahler_basis) is one Fincke-Pohst enumeration, _points,
-over the Gram-Schmidt data that LLL leaves behind: it brackets its intervals
-with integer square roots, filters by the body norm, and visits one of each
-pair +-v.  Floating point appears only in the Monte Carlo estimate of
+over the Gram-Schmidt data of integral LLL (the coset search takes the same
+integer Gram-Schmidt unreduced): it brackets its intervals with integer
+square roots, filters by the body norm, and visits one of each pair +-v.
+Floating point appears only in the Monte Carlo estimate of
 fractional_measure.
 """
 from __future__ import annotations
@@ -223,10 +224,7 @@ class WeightedBox:
         return max(abs(Fraction(x)) / c for x, c in zip(vec, self.half_widths))
 
     def volume(self) -> Fraction:
-        v = Fraction(1)
-        for c in self.half_widths:
-            v *= 2 * c
-        return v
+        return math.prod(2 * c for c in self.half_widths)
 
     def quad_weights(self) -> tuple[Fraction, ...]:
         return tuple(1 / (c * c) for c in self.half_widths)
@@ -259,10 +257,7 @@ class DualBody:
         return sum(c * abs(Fraction(x)) for x, c in zip(vec, self.coefficients))
 
     def volume(self) -> Fraction:
-        v = Fraction(2**self.dim, math.factorial(self.dim))
-        for c in self.coefficients:
-            v /= c
-        return v
+        return Fraction(2**self.dim, math.factorial(self.dim)) / math.prod(self.coefficients)
 
     def quad_weights(self) -> tuple[Fraction, ...]:
         return tuple(c * c for c in self.coefficients)
@@ -325,11 +320,7 @@ class IntLattice:
     def canonical(self) -> "IntLattice":
         rows, rank = hnf_rows(self.basis)
         rows = rows[:rank]
-        g = self.den
-        for r in rows:
-            for x in r:
-                g = math.gcd(g, abs(x))
-        g = max(g, 1)
+        g = math.gcd(self.den, *(x for r in rows for x in r))
         return IntLattice(tuple(tuple(x // g for x in r) for r in rows), self.den // g)
 
     def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -379,72 +370,90 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
 # exact reduction and enumeration
 
 
-def _gram_schmidt(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
-    """mu (lower triangular) and squared lengths of the GS vectors under qw."""
+def _gram_dets(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]) -> tuple[list[int], list[list[int]], int]:
+    """(d, lam, S): integral Gram-Schmidt under S * qw, S the lcm of qw's
+    denominators (Cohen, Alg. 2.6.7, step 2): Gram determinants d_0 = 1,
+    d_{i+1} = d_i S bn_i, and lam[i][j] = d_{j+1} mu_ij for j < i, else 0."""
+    w, scale = _scaled(qw)
     k = len(rows)
-    bstar: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * k for _ in range(k)]
-    bn: list[Fraction] = []
-    for i in range(k):
-        vec = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            mij = sum(w * a * b for w, a, b in zip(qw, rows[i], bstar[j])) / bn[j]
-            mu[i][j] = mij
-            vec = [a - mij * b for a, b in zip(vec, bstar[j])]
-        norm = sum(w * a * a for w, a in zip(qw, vec))
-        if norm == 0:
-            raise DomainError("rows are linearly dependent")
-        bstar.append(vec)
-        bn.append(norm)
-    return mu, bn
+    d = [1] + [0] * k
+    lam = [[0] * k for _ in range(k)]
+    for i, row in enumerate(rows):
+        wi = [x * c for x, c in zip(row, w)]
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(wi, rows[j]))
+            for h in range(j):
+                u = (d[h + 1] * u - lam[i][h] * lam[j][h]) // d[h]
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:  # Sylvester: the form is positive definite on the rows iff every d_i > 0
+                raise DomainError("rows are linearly dependent, or the form is not positive definite on them")
+            else:
+                d[i + 1] = u
+    return d, lam, scale
+
+
+def _gs_fractions(d: Sequence[int], lam: Sequence[Sequence[int]], scale: int):
+    """(mu, bn) from _gram_dets: mu_ij = lam_ij / d_{j+1}, bn_i = d_{i+1} / (d_i S)."""
+    mu = [[Fraction(x, d[j + 1]) if j < i else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(lam)]
+    return mu, [Fraction(d[i + 1], d[i] * scale) for i in range(len(lam))]
 
 
 def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)):
     """(basis, mu, bn): exact LLL under qw, with the Gram-Schmidt data of the
     returned basis.
 
-    Gram-Schmidt is computed once and then updated in place (Cohen, A Course
-    in Computational Algebraic Number Theory, Alg. 2.6.3): size reduction
-    b_i -= q b_j changes only row i of mu and no squared length, and a swap
-    of b_{i-1}, b_i changes mu and the two squared lengths by the standard
-    exact formulas.  Arithmetic is in Fractions, so every mu, every test and
-    the returned data equal those of a full recomputation after each step.
+    Integral LLL (de Weger 1987; Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7): the loop keeps only the integers d_i and
+    lam_ij of _gram_dets.  Size reduction b_i -= q b_j rounds lam_ij / d_{j+1}
+    half to even, as round() does on a Fraction, and updates row i of lam;
+    the Lovasz test for delta = a/b is b d_{i+1} d_{i-1} < a d_i^2 - b lam^2
+    with lam = lam_{i,i-1}; a swap of b_{i-1}, b_i changes d_i and the lam
+    below row i by exact divisions.  So every step is that of LLL over
+    Fractions, and mu and bn are built from d and lam only at return.
     """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
-    mu, bn = _gram_schmidt(b, qw)
+    d, lam, scale = _gram_dets(b, qw)
+    num, den = delta.numerator, delta.denominator
     i = 1
     while i < k:
-        mi = mu[i]
+        li = lam[i]
         for j in range(i - 1, -1, -1):
-            q = round(mi[j])
+            dj = d[j + 1]
+            q, r = divmod(2 * li[j] + dj, 2 * dj)
+            if r == 0 and q & 1:
+                q -= 1  # a tie: round half to even
             if q:
-                b[i] = [a - q * c for a, c in zip(b[i], b[j])]
-                mj = mu[j]
-                for jj in range(j):
-                    mi[jj] -= q * mj[jj]
-                mi[j] -= q
-        m1 = mi[i - 1]
-        if bn[i] < (delta - m1 * m1) * bn[i - 1]:
-            big = bn[i] + m1 * m1 * bn[i - 1]
-            m1_new = m1 * bn[i - 1] / big
-            bn[i] = bn[i - 1] * bn[i] / big
-            bn[i - 1] = big
+                b[i] = [x - q * y for x, y in zip(b[i], b[j])]
+                lj = lam[j]
+                for h in range(j):
+                    li[h] -= q * lj[h]
+                li[j] -= q * dj
+        l1 = li[i - 1]
+        di = d[i]
+        if den * d[i + 1] * d[i - 1] < num * di * di - den * l1 * l1:
+            big = (d[i - 1] * d[i + 1] + l1 * l1) // di
             b[i - 1], b[i] = b[i], b[i - 1]
-            mu[i - 1][: i - 1], mi[: i - 1] = mi[: i - 1], mu[i - 1][: i - 1]
-            mi[i - 1] = m1_new
-            for row in mu[i + 1 :]:
+            lam[i - 1][: i - 1], li[: i - 1] = li[: i - 1], lam[i - 1][: i - 1]
+            for row in lam[i + 1 :]:
                 t = row[i]
-                row[i] = row[i - 1] - m1 * t
-                row[i - 1] = t + m1_new * row[i]
+                row[i] = (d[i + 1] * row[i - 1] - l1 * t) // di
+                row[i - 1] = (big * t + l1 * row[i]) // d[i + 1]
+            d[i] = big
             i = max(i - 1, 1)
         else:
             i += 1
-    return b, mu, bn
+    return (b, *_gs_fractions(d, lam, scale))
 
 
-def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Exact LLL under the diagonal quadratic form qw; same lattice, nicer basis."""
+def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: RatLike = Fraction(3, 4)) -> list[list[int]]:
+    """Exact LLL under the diagonal quadratic form qw, for an exact 1/4 <
+    delta <= 1: same lattice, nicer basis.  Integral LLL (see _lll) keeps the
+    Gram determinants d_i and lam_ij = d_{j+1} mu_ij as integers throughout."""
+    delta = to_fraction(delta)
+    if not Fraction(1, 4) < delta <= 1:
+        raise DomainError(f"LLL needs 1/4 < delta <= 1, got {delta}")
     if len(rows) <= 1:
         return [list(map(int, r)) for r in rows]
     return _lll(rows, qw, delta)[0]
@@ -633,11 +642,8 @@ class MinkowskiRecord:
 def minkowski_check(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> MinkowskiRecord:
     """Exact second-theorem sandwich: 2^n/n! <= prod(lambda) vol / covol <= 2^n."""
     prof = successive_minima(lat, body, budget)
-    prod = Fraction(1)
-    for lam in prof.minima:
-        prod *= lam
     n = lat.dim
-    ratio = prod * body.volume() / lat.covolume
+    ratio = math.prod(prof.minima) * body.volume() / lat.covolume
     lower = Fraction(2**n, math.factorial(n))
     upper = 2**n
     return MinkowskiRecord(prof.minima, ratio, lower, upper, lower <= ratio <= upper)
@@ -696,9 +702,7 @@ class PointCountRecord:
 def point_count_record(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> PointCountRecord:
     count = count_lattice_points(lat, body, budget)
     prof = successive_minima(lat, body, budget)
-    ref = Fraction(1)
-    for lam in prof.minima:
-        ref *= max(Fraction(1), 1 / lam)
+    ref = math.prod(max(Fraction(1), 1 / lam) for lam in prof.minima)
     return PointCountRecord(count, prof.minima, ref, Fraction(count) / ref)
 
 
@@ -795,7 +799,7 @@ def mahler_basis(
             # u itself qualifies, so the search is never empty
             coeffs = chosen + [u_vec]
             vecs = [[sum(row[i] * lat.basis[i][c] for i in range(n)) for c in range(n)] for row in coeffs]
-            mu, bn = _gram_schmidt(vecs, qw)
+            mu, bn = _gs_fractions(*_gram_dets(vecs, qw))
             pts = _points(vecs, den, body, coeff_norm(u_vec), budget, mu, bn, shifted=True)
             _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
             sign = 1 if _canonical_sign(vec) == vec else -1
@@ -887,10 +891,8 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
 
     gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
     gram_det = det_int(gram)
-    minor_gcd = 0
-    for cols in itertools.combinations(range(d), d0):
-        sub = [[rows[i][c] for c in cols] for i in range(d0)]
-        minor_gcd = math.gcd(minor_gcd, abs(det_int(sub)))
+    minors = itertools.combinations(range(d), d0)
+    minor_gcd = math.gcd(*(det_int([[rows[i][c] for c in cols] for i in range(d0)]) for cols in minors))
     if minor_gcd == 0:
         raise DomainError("matrix must have full row rank")  # unreachable after rank check
 
@@ -899,9 +901,7 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
         raise DomainError("kernel covolume identity failed")  # unreachable
 
     max_norms = tuple(max(abs(x) for x in w) for w in wits)
-    product = 1
-    for v in max_norms:
-        product *= v
+    product = math.prod(max_norms)
     product_ok = product**2 * minor_gcd**2 <= gram_det
     min_ok = min(max_norms) ** (2 * k) * minor_gcd**2 <= gram_det
 
@@ -980,9 +980,7 @@ def fractional_measure(
                 break
         if ok:
             hits += 1
-    target = Fraction(1)
-    for e in epsf:
-        target *= e
+    target = math.prod(epsf)
     p = float(target)
     sigma = math.sqrt(p * (1.0 - p) / samples)
     return MeasureRecord(hits / samples, hits, samples, seed, target, sigma, 3.0 * sigma)

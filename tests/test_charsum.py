@@ -198,3 +198,25 @@ def test_table_budget():
     assert t.dlog[t.generator] == 1 and sorted(t.dlog[1:]) == list(range(100002))
     with pytest.raises(BudgetExceeded, match="budget"):
         CharTable.build(charsum.TABLE_BUDGET + 3)  # a prime; refused before allocating
+
+
+def test_sum_budget(monkeypatch):
+    t = CharTable.build(101)
+    f = PolyMod((0, 0, 1), 101)
+    # priced from the sizes alone: neither side of 10^24 terms is ever built
+    with pytest.raises(BudgetExceeded, match="SUM_BUDGET"):
+        BilinearInstance.uniform(range(1, 10**12 + 1), 10**12)
+    with pytest.raises(DomainError, match="nonempty"):
+        BilinearInstance.uniform(range(1, 1), 10**12)
+    inst = BilinearInstance.uniform((1, 2), 3)
+    monkeypatch.setattr(charsum, "SUM_BUDGET", 5)
+    with pytest.raises(BudgetExceeded, match="6 character evaluations"):
+        bilinear_W(t, inst)
+    with pytest.raises(BudgetExceeded):
+        BilinearInstance.uniform((1, 2), 3)
+    # pi(10) = 4 on each side and two orders: 32 evaluations
+    with pytest.raises(BudgetExceeded, match="32 character evaluations"):
+        prime_bilinear_sum(t, f, 10, 10)
+    monkeypatch.setattr(charsum, "SUM_BUDGET", 32)
+    assert prime_bilinear_sum(t, f, 10, 10).primes_q == 4
+    assert (bilinear_W(t, inst).rows, bilinear_W(t, inst).cols) == (2, 3)

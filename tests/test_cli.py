@@ -317,6 +317,24 @@ def test_fold_budget_refuses_at_once(capsys):
     assert time.perf_counter() - t0 < 1.0
 
 
+CHARSUM_OVER_BUDGET = [
+    # |S| * H = 10^8 character evaluations
+    ["charsum", "bilinear", "--p", "101", "--S", "1000", "--H", "100000"],
+    # 2 pi(Q) pi(R) ~ 10^10 character evaluations
+    ["charsum", "primes", "--p", "999983", "--poly", "0,0,1", "--Q", "900000", "--R", "900000"],
+    # priced before the 10^9-element residue side is built
+    ["charsum", "bilinear", "--p", "101", "--S", str(10**9), "--H", "1"],
+]
+
+
+@pytest.mark.parametrize("argv", CHARSUM_OVER_BUDGET)
+def test_charsum_budget_refuses_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error: a ") and "SUM_BUDGET" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_modulus_beyond_float_range(tmp_path, capsys):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("moduli = 1" + "0" * 320 + "\nlengths = 4, 5\n")
@@ -345,7 +363,20 @@ def _argvs(draw):
     m = draw(st.sampled_from(FUZZ_MODULI))
     H = draw(st.sampled_from([-1, 0, 1, 5, m, m + 1, 300000]))
     poly = draw(st.sampled_from(GOOD_POLYS * 3 + BAD_POLYS))
-    command = draw(st.sampled_from(["energy", "verify", "eq", "cong"]))
+    command = draw(st.sampled_from(["energy", "verify", "eq", "cong", "charsum"]))
+    if command == "charsum":
+        action = draw(st.sampled_from(["weil", "bilinear", "primes"]))
+        argv = ["charsum", action, "--p", str(m)]
+        k = draw(st.sampled_from([None, 0, 1, -1, 3, m - 1, 10**400]))
+        if k is not None:
+            argv += ["--k", str(k)]
+        sizes = [-1, 0, 1, 5, m, m + 1, 300000, 10**400]
+        if action == "weil":
+            return argv + ["--coeffs", poly], None
+        if action == "primes":
+            return argv + ["--poly", poly, "--Q", str(draw(st.sampled_from(sizes))), "--R", str(draw(st.sampled_from(sizes)))], None
+        side = draw(st.sampled_from([["--set", s] for s in ("1,2", "0", "", "3,3", "x", f"-5,{10**400}")] + [["--S", str(S)] for S in sizes]))
+        return argv + side + ["--H", str(draw(st.sampled_from(sizes)))], None
     if command == "eq":
         target = draw(st.sampled_from([0, 1, -3, 720720, 10**12 + 39, 10**39 + 1, -(10**400)]))
         H = draw(st.sampled_from([-1, 0, 1, 5, 300000, 10**8, 10**400]))
@@ -370,7 +401,9 @@ def _argvs(draw):
 @example((["eqcount", "eq", "--coeffs", "0,1", "--target", "0", "--H", "100000000"], None))
 @example((["eqcount", "eq", "--coeffs", "5,0,0,1", "--target", "0", "--H", "300000"], None))
 @example((["eqcount", "cong", "--poly", "3,1,1", "--modulus", str(PSI_13), "--H", str(PSI_13), "--shift", "3"], None))
-@settings(max_examples=120, deadline=None)
+@example((CHARSUM_OVER_BUDGET[0], None))
+@example((CHARSUM_OVER_BUDGET[1], None))
+@settings(max_examples=150, deadline=None)
 def test_cli_fuzz_exits_0_or_2_with_an_error_line(tmp_path_factory, case):
     argv, config = case
     if config is not None:

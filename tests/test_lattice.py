@@ -304,14 +304,55 @@ def test_lll_in_place_matches_recompute_oracle():
         lat = congruence_lattice([rng.randrange(m) for _ in range(d)], m)
         cases.append((lat.basis, _pipeline_box(d, m, rng.randrange(1, 5)).quad_weights()))
     assert len(cases) >= 300
-    for rows, qw in cases:
-        red = lll_reduce(rows, qw)
-        assert red == oracles.lll_recompute(rows, qw)
-        # the Gram-Schmidt data kept up to date in place is that of the result
-        assert _lll(rows, qw) == (red, *oracles.gram_schmidt_plain(red, qw))
+    # dimension 5, and the pipeline's weights at m = 10^30
+    for k in range(24):
+        rows = [[rng.randint(-10**6, 10**6) for _ in range(5)] for _ in range(5)]
+        if det_int(rows) != 0:
+            qw = (Fraction(1),) * 5 if k % 2 else tuple(Fraction(rng.randrange(1, 99), rng.randrange(1, 99)) for _ in range(5))
+            cases.append((rows, qw))
+    for k in range(9):
+        d = 2 + k % 3
+        lat = congruence_lattice([rng.randrange(10**30) for _ in range(d)], 10**30)
+        cases.append((lat.basis, _pipeline_box(d, 10**30, rng.randrange(1, 10**4)).quad_weights()))
+    # delta = 3/4 on every case; 1/3, 99/100 and 1 in turn on every eighth
+    others = (Fraction(1, 3), Fraction(99, 100), Fraction(1))
+    runs = [(rows, qw, Fraction(3, 4)) for rows, qw in cases]
+    runs += [(rows, qw, others[c % 3]) for c, (rows, qw) in enumerate(cases[::8])]
+    for rows, qw, delta in runs:
+        red = lll_reduce(rows, qw, delta)
+        assert red == oracles.lll_recompute(rows, qw, delta)
+        # the Gram-Schmidt data kept in integers is that of the result
+        assert _lll(rows, qw, delta) == (red, *oracles.gram_schmidt_plain(red, qw))
+    # mu = 5/2 is a tie: round half to even gives (1, 1), half up would give (-1, 1)
+    unit = (Fraction(1),) * 2
+    assert lll_reduce([[2, 0], [5, 1]], unit) == oracles.lll_recompute([[2, 0], [5, 1]], unit) == [[1, 1], [1, -1]]
+    assert _lll([[2, 0], [5, 1]], unit, Fraction(1, 3))[0] == [[2, 0], [1, 1]]
+    # the Lovasz test is strict: bn_1 = (delta - mu^2) bn_0 exactly, so no swap
+    for rows, qw, delta in (([[2, 0], [1, 1]], (1, 2), Fraction(3, 4)), ([[1, 0], [0, 1]], unit, Fraction(1))):
+        assert lll_reduce(rows, qw, delta) == oracles.lll_recompute(rows, qw, delta) == rows
     # one row is returned as it is, even the zero row that has no Gram-Schmidt data
     for rows in ([[0, 0]], [[3, -4]]):
         assert lll_reduce(rows, (Fraction(1),) * 2) == oracles.lll_recompute(rows, (Fraction(1),) * 2) == rows
+
+
+def test_lll_reduce_refuses_a_bad_delta_or_form():
+    rows, unit = [[1, 0], [0, 1]], (Fraction(1),) * 2
+    # delta = 2 made the swap loop run forever; a float was taken silently
+    for delta in (Fraction(2), Fraction(1, 4), Fraction(1, 5), -1, 0.75, "x"):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError):
+            lll_reduce(rows, unit, delta)
+        with pytest.raises(DomainError):
+            lll_reduce([[3, -4]], unit, delta)
+        assert time.perf_counter() - t0 < 1.0
+    assert lll_reduce(rows, unit, 1) == lll_reduce(rows, unit, "99/100") == rows
+    # a form that is not positive definite on the rows has some d_i <= 0
+    for qw in ((1, -1), (0, 1), (-1, -1)):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="positive definite"):
+            lll_reduce([[3, 1], [5, 2]], qw)
+        assert time.perf_counter() - t0 < 1.0
+    assert lll_reduce([[1, 0, 0], [0, 1, 0]], (1, 1, 0)) == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_shortest_vector_matches_full_radius_oracle():
