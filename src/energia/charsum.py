@@ -28,7 +28,9 @@ from .ring import (
 )
 
 TABLE_BUDGET = 10**6  # entries of a discrete-log table
-SUM_BUDGET = 10**6  # character evaluations of one bilinear sum, about 1 s
+# character evaluations of one sum, about 1 s; a complete sum mod p of a
+# degree-d polynomial is charged p * (d + 1), one per Horner step
+SUM_BUDGET = 10**6
 
 
 def price_sum(evaluations: int, what: str) -> None:
@@ -154,12 +156,14 @@ def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
 
     Accumulates a histogram of exact character exponents, so the complex
     rounding enters once per exponent class rather than once per term.
+    Priced at p * (d + 1) Horner steps against SUM_BUDGET before it runs.
     """
     p = table.modulus
     if f.modulus != p:
         raise DomainError(f"polynomial modulus {f.modulus} does not match the table's {p}")
     cs = f.coeffs
     d = f.degree
+    price_sum(p * (d + 1), "a complete sum")
     hist: Counter = Counter()
     for x in range(p):
         acc = 0

@@ -55,10 +55,6 @@ def _body_from_args(args) -> lattice.Body:
     raise ring.DomainError("pass --box or --cross to choose the norm body")
 
 
-def _lattice_from_args(args) -> lattice.IntLattice:
-    return lattice.lattice_from_string(args.basis, args.den)
-
-
 def _matrix(text: str) -> list[list[int]]:
     return [list(ring.ints_from_string(row)) for row in text.split(";")]
 
@@ -128,7 +124,7 @@ def _cmd_lattice(args) -> int:
         ))
         return 0
     _require(args, "basis")
-    lat = _lattice_from_args(args)
+    lat = lattice.lattice_from_string(args.basis, args.den)
     if args.action == "dual":
         dual = lattice.dual_lattice(lat)
         _emit({"basis": [list(r) for r in dual.basis], "den": dual.den})

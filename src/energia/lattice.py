@@ -5,21 +5,23 @@ witness vectors, Minkowski's second theorem is checked as an exact sandwich,
 duality is an involution on canonical (Hermite normal form) bases, and the
 small-nullspace constructor proves its product bound with integer
 comparisons.  The integer linear algebra is one Hermite normal form (with
-its unimodular transform) and one fraction-free elimination.  Every search
-for lattice points (points within a radius, the shortest vector, the minima,
-the coset search of mahler_basis) is one Fincke-Pohst enumeration, _points,
-over the Gram-Schmidt data of integral LLL (the coset search takes the same
-integer Gram-Schmidt unreduced): it brackets its intervals with integer
-square roots, filters by the body norm, and visits one of each pair +-v.
-Floating point appears only in the Monte Carlo estimate of
-fractional_measure.
+its unimodular transform) and one fraction-free elimination.  Each norm body
+keeps one integer gauge (integer weights over one common scale), and every
+search for lattice points (points within a radius, the shortest vector, the
+minima, the coset search of mahler_basis) is one Fincke-Pohst enumeration,
+_points, in integers: it reads the Gram determinants and scaled
+coefficients of integral LLL (the coset search takes the same integer
+Gram-Schmidt unreduced), ranges each level exactly by an integer square
+root, filters by the integer gauge, and visits one of each pair +-v.
+Fractions are built only for the norms reported.  Floating point appears
+only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -58,25 +60,19 @@ def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], l
         if r >= nrows:
             break
         while True:
+            # reduce the rows below by the pivot row, then move the least
+            # nonzero entry left in column c up to row r
             nz = [i for i in range(r + 1, nrows) if rows[i][c] != 0]
-            if rows[r][c] == 0:
-                if not nz:
-                    break
-                i0 = min(nz, key=lambda i: abs(rows[i][c]))
-                rows[r], rows[i0] = rows[i0], rows[r]
-                u[r], u[i0] = u[i0], u[r]
-                continue
+            if rows[r][c] != 0:
+                for i in nz:
+                    q = rows[i][c] // rows[r][c]
+                    if q:
+                        rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+                nz = [i for i in nz if rows[i][c] != 0]
             if not nz:
                 break
-            for i in nz:
-                q = rows[i][c] // rows[r][c]
-                if q:
-                    rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-            nz2 = [i for i in range(r + 1, nrows) if rows[i][c] != 0]
-            if not nz2:
-                break
-            i0 = min(nz2, key=lambda i: abs(rows[i][c]))
+            i0 = min(nz, key=lambda i: abs(rows[i][c]))
             rows[r], rows[i0] = rows[i0], rows[r]
             u[r], u[i0] = u[i0], u[r]
         if rows[r][c] != 0:
@@ -129,7 +125,7 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tu
 
 def _scaled(vec: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
     """(L * vec as integers, L), L the lcm of the entries' denominators."""
-    fr = [Fraction(x) for x in vec]
+    fr = [x if isinstance(x, int) else Fraction(x) for x in vec]
     lcm = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (lcm // x.denominator) for x in fr], lcm
 
@@ -204,30 +200,50 @@ def _independent(vectors: Iterable[Sequence[Union[int, Fraction]]], limit: Optio
 # norm bodies
 
 
-@dataclass(frozen=True)
-class WeightedBox:
-    """{x : |x_i| <= c_i}, rational half-widths c_i > 0."""
-
-    half_widths: tuple[Fraction, ...]
+class _Gauge:
+    """The integer gauge the two bodies share.  The body's norm is
+    agg_i |x_i| w_i, agg max or sum, for positive rationals w_i; it keeps the
+    integers W_i = S w_i, S the lcm of the denominators of the w_i, so the
+    norm of a numerator vector v is the integer agg_i |v_i| W_i over S, and
+    the quadratic weights W_i^2 / S^2 have the lcm S^2.  Each body names
+    its agg and its weight w_i as a function of its one field's c_i."""
 
     def __post_init__(self) -> None:
-        hw = tuple(to_fraction(c) for c in self.half_widths)
-        if not hw or any(c <= 0 for c in hw):
-            raise DomainError("half-widths must be positive rationals")
-        object.__setattr__(self, "half_widths", hw)
+        (fld,) = fields(self)
+        vals = tuple(to_fraction(c) for c in getattr(self, fld.name))
+        if not vals or any(c <= 0 for c in vals):
+            raise DomainError(f"{fld.name.replace('_', '-')} must be positive rationals")
+        object.__setattr__(self, fld.name, vals)
+        weights, scale = _scaled([self._weight(c) for c in vals])
+        object.__setattr__(self, "_weights", tuple(weights))
+        object.__setattr__(self, "_scale", scale)
 
     @property
     def dim(self) -> int:
-        return len(self.half_widths)
+        return len(self._weights)
+
+    def _gauge(self, vec: Sequence[int]) -> int:
+        """S times the norm of the integer vector vec."""
+        return self._agg(abs(x) * w for x, w in zip(vec, self._weights))
 
     def norm(self, vec: Sequence[Union[int, Fraction]]) -> Fraction:
-        return max(abs(Fraction(x)) / c for x, c in zip(vec, self.half_widths))
+        num, lcm = _scaled(vec)
+        return Fraction(self._gauge(num), lcm * self._scale)
+
+    def quad_weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w * w, self._scale**2) for w in self._weights)
+
+
+@dataclass(frozen=True)
+class WeightedBox(_Gauge):
+    """{x : |x_i| <= c_i}, rational half-widths c_i > 0; w_i = 1/c_i."""
+
+    half_widths: tuple[Fraction, ...]
+    _agg = staticmethod(max)
+    _weight = staticmethod(lambda c: 1 / c)
 
     def volume(self) -> Fraction:
         return math.prod(2 * c for c in self.half_widths)
-
-    def quad_weights(self) -> tuple[Fraction, ...]:
-        return tuple(1 / (c * c) for c in self.half_widths)
 
     def ellipsoid_bound(self, radius: Fraction) -> Fraction:
         # x in R*box implies sum (x_i/c_i)^2 <= dim * R^2
@@ -238,29 +254,16 @@ class WeightedBox:
 
 
 @dataclass(frozen=True)
-class DualBody:
-    """The weighted cross-polytope {y : sum c_i |y_i| <= 1}; polar of the box."""
+class DualBody(_Gauge):
+    """The weighted cross-polytope {y : sum c_i |y_i| <= 1}; polar of the box;
+    w_i = c_i."""
 
     coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        cs = tuple(to_fraction(c) for c in self.coefficients)
-        if not cs or any(c <= 0 for c in cs):
-            raise DomainError("coefficients must be positive rationals")
-        object.__setattr__(self, "coefficients", cs)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
-
-    def norm(self, vec: Sequence[Union[int, Fraction]]) -> Fraction:
-        return sum(c * abs(Fraction(x)) for x, c in zip(vec, self.coefficients))
+    _agg = staticmethod(sum)
+    _weight = staticmethod(lambda c: c)
 
     def volume(self) -> Fraction:
         return Fraction(2**self.dim, math.factorial(self.dim)) / math.prod(self.coefficients)
-
-    def quad_weights(self) -> tuple[Fraction, ...]:
-        return tuple(c * c for c in self.coefficients)
 
     def ellipsoid_bound(self, radius: Fraction) -> Fraction:
         # sum c_i |x_i| <= R implies sum (c_i x_i)^2 <= R^2
@@ -393,15 +396,9 @@ def _gram_dets(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]) -> tuple[l
     return d, lam, scale
 
 
-def _gs_fractions(d: Sequence[int], lam: Sequence[Sequence[int]], scale: int):
-    """(mu, bn) from _gram_dets: mu_ij = lam_ij / d_{j+1}, bn_i = d_{i+1} / (d_i S)."""
-    mu = [[Fraction(x, d[j + 1]) if j < i else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(lam)]
-    return mu, [Fraction(d[i + 1], d[i] * scale) for i in range(len(lam))]
-
-
 def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)):
-    """(basis, mu, bn): exact LLL under qw, with the Gram-Schmidt data of the
-    returned basis.
+    """(basis, (d, lam, S)): exact LLL under qw, with the integral
+    Gram-Schmidt data of _gram_dets for the returned basis.
 
     Integral LLL (de Weger 1987; Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): the loop keeps only the integers d_i and
@@ -410,7 +407,8 @@ def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction 
     the Lovasz test for delta = a/b is b d_{i+1} d_{i-1} < a d_i^2 - b lam^2
     with lam = lam_{i,i-1}; a swap of b_{i-1}, b_i changes d_i and the lam
     below row i by exact divisions.  So every step is that of LLL over
-    Fractions, and mu and bn are built from d and lam only at return.
+    Fractions (mu_ij = lam_ij / d_{j+1}, squared lengths d_{i+1} / (d_i S)),
+    and no Fraction is built.
     """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
@@ -444,7 +442,7 @@ def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction 
             i = max(i - 1, 1)
         else:
             i += 1
-    return (b, *_gs_fractions(d, lam, scale))
+    return b, (d, lam, scale)
 
 
 def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: RatLike = Fraction(3, 4)) -> list[list[int]]:
@@ -454,6 +452,8 @@ def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Rat
     delta = to_fraction(delta)
     if not Fraction(1, 4) < delta <= 1:
         raise DomainError(f"LLL needs 1/4 < delta <= 1, got {delta}")
+    if any(len(r) != len(qw) for r in rows):
+        raise DomainError(f"every row and the form need the same length, got form length {len(qw)}")
     if len(rows) <= 1:
         return [list(map(int, r)) for r in rows]
     return _lll(rows, qw, delta)[0]
@@ -461,66 +461,73 @@ def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Rat
 
 def _points(
     rows: Sequence[Sequence[int]],
-    den: int,
+    gs: tuple[Sequence[int], Sequence[Sequence[int]], int],
     body: Body,
-    radius: Fraction,
+    cap: int,
     budget: int,
-    mu: Sequence[Sequence[Fraction]],
-    bn: Sequence[Fraction],
     shifted: bool = False,
-) -> list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]]:
-    """(norm, v, t) for every lattice point v = t . rows whose body norm
-    norm = body.norm(v / den) is at most radius; the one enumeration here.
+) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """(g, v, t) for every lattice point v = t . rows whose integer gauge
+    g = body._gauge(v) is at most cap; the one enumeration here.  For the
+    lattice rows / den, cap = floor(R den S) keeps the points of body norm
+    g / (S den) at most R, S the body's scale.
 
-    Fincke-Pohst (Math. Comp. 44, 1985) over mu and bn, the Gram-Schmidt data
-    of rows under body.quad_weights(), out to the ellipsoid that circumscribes
-    radius * body.  Level i tries the integers t_i around -center that an
-    integer square root of rem / bn_i brackets, keeps those whose exact
-    contribution (t_i + center)^2 bn_i fits in rem, and every leaf is then
-    filtered by its body norm.
+    Fincke-Pohst (Math. Comp. 44, 1985) in integers, over gs = (d, lam, Q),
+    the integral Gram-Schmidt data of rows under body.quad_weights() (see
+    _gram_dets; Q = S^2), out to the ellipsoid that circumscribes the gauge
+    ball.
+    Level i adds y_i^2 / (d_i d_{i+1} Q), y_i = d_{i+1} t_i + sum_{j>i}
+    lam_ji t_j; scaled by P = prod_i d_i d_{i+1}, the remaining bound rem is
+    an integer, and t_i runs over exactly the integers with
+    |y_i| <= isqrt(rem // P_i), P_i = P / (d_i d_{i+1}).  Every leaf is then
+    filtered by its gauge.
 
     Sign rule (Schnorr-Euchner, Math. Programming 66, 1994): unless shifted,
     t_i starts at 0 while every coefficient above level i is 0, so of each
     pair +-v only the one whose last nonzero coefficient is positive is
     visited, and 0 is never returned.  The node budget counts the nodes of
-    this half tree.  When shifted, the last row is a coset shift with its
-    coefficient fixed at 1: the points are rows[-1] + Z rows[:-1], all visited.
+    this half tree inside the ellipsoid.  When shifted, the last row is a
+    coset shift with its coefficient fixed at 1: the points are
+    rows[-1] + Z rows[:-1], all visited.  Each level tries its t_i in
+    ascending order.
     """
+    d, lam, qscale = gs
     k = len(rows)
     n = len(rows[0])
-    out: list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]] = []
+    dd = [d[i] * d[i + 1] for i in range(k)]
+    total = math.prod(dd)
+    part = [total // x for x in dd]
+    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     t = [0] * k
     nodes = 0
 
-    def rec(i: int, rem: Fraction, half: bool) -> None:
+    def rec(i: int, rem: int, half: bool) -> None:
         nonlocal nodes
         if i < 0:
             if not half:
                 v = tuple(sum(x * row[c] for x, row in zip(t, rows)) for c in range(n))
-                nrm = body.norm(v) / den
-                if nrm <= radius:
-                    out.append((nrm, v, tuple(t)))
+                g = body._gauge(v)
+                if g <= cap:
+                    out.append((g, v, tuple(t)))
             return
-        center = sum(mu[j][i] * t[j] for j in range(i + 1, k))
+        c = sum(lam[j][i] * t[j] for j in range(i + 1, k))
+        di = d[i + 1]
+        r = math.isqrt(rem // part[i])
+        tries = range(0 if half else -((r + c) // di), (r - c) // di + 1)
         if shifted and i == k - 1:
-            tries: Iterable[int] = (1,)
-        else:
-            x = rem / bn[i]
-            r = math.isqrt(x.numerator // x.denominator)
-            start = math.floor(-center)
-            tries = range(r + 1) if half else range(start - r, start + r + 2)
+            tries = range(1, 2 if 1 in tries else 1)
         for ti in tries:
             nodes += 1
             if nodes > budget:
                 raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
-            diff = ti + center
-            contrib = diff * diff * bn[i]
-            if contrib <= rem:
-                t[i] = ti
-                rec(i - 1, rem - contrib, half and ti == 0)
+            y = di * ti + c
+            t[i] = ti
+            rec(i - 1, rem - y * y * part[i], half and ti == 0)
         t[i] = 0
 
-    rec(k - 1, body.ellipsoid_bound(radius) * den * den, not shifted)
+    # gauge <= cap implies S^2 qw(v) <= ellipsoid_bound(cap), and qw(v) Q P
+    # is the sum of the y_i^2 P_i
+    rec(k - 1, body.ellipsoid_bound(cap) * qscale * total // body._scale**2, not shifted)
     return out
 
 
@@ -546,9 +553,9 @@ def lattice_points_within(
     radius = to_fraction(radius)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    rows, mu, bn = _lll(lat.basis, body.quad_weights())
-    pts = _points(rows, lat.den, body, radius, budget, mu, bn)
-    return [u for _, v, _ in pts for u in (v, tuple(-x for x in v))]
+    rows, gs = _lll(lat.basis, body.quad_weights())
+    cap = radius.numerator * lat.den * body._scale // radius.denominator
+    return [u for _, v, _ in _points(rows, gs, body, cap, budget) for u in (v, tuple(-x for x in v))]
 
 
 @dataclass(frozen=True)
@@ -576,17 +583,18 @@ def _minima_engine(
 ) -> tuple[list[Fraction], list[tuple[int, ...]]]:
     """Exact successive minima of {t.rows/den} under the body norm.
 
-    Enumerates out to the largest norm of an LLL-reduced basis vector, which
+    Enumerates out to the largest gauge of an LLL-reduced basis vector, which
     always contains rank-many independent vectors, then picks greedily by
-    (norm, lexicographic sign-normalized vector).
+    (gauge, lexicographic sign-normalized vector); only the minima it reports
+    become Fractions.
     """
-    red, mu, bn = _lll(rows, body.quad_weights())
-    radius = max(body.norm(r) for r in red) / den
-    norm_of = {_canonical_sign(v): nrm for nrm, v, _ in _points(red, den, body, radius, budget, mu, bn)}
-    wits = _independent(sorted(norm_of, key=lambda v: (norm_of[v], v)), len(rows))
+    red, gs = _lll(rows, body.quad_weights())
+    cap = max(body._gauge(r) for r in red)
+    gauge_of = {_canonical_sign(v): g for g, v, _ in _points(red, gs, body, cap, budget)}
+    wits = _independent(sorted(gauge_of, key=lambda v: (gauge_of[v], v)), len(rows))
     if len(wits) != len(rows):
         raise DomainError("enumeration failed to reach full rank")  # unreachable
-    return [norm_of[v] for v in wits], wits
+    return [Fraction(gauge_of[v], body._scale * den) for v in wits], wits
 
 
 def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> MinimaProfile:
@@ -596,10 +604,9 @@ def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BU
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
     minima, wits = _minima_engine(lat.basis, lat.den, body, budget)
-    scale = Fraction(1, lat.den)
     return MinimaProfile(
         tuple(minima),
-        tuple(tuple(x * scale for x in w) for w in wits),
+        tuple(tuple(Fraction(x, lat.den) for x in w) for w in wits),
     )
 
 
@@ -609,7 +616,8 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
 
     LLL runs once; enumeration then goes only out to the least body-norm of
     a reduced basis row (or 1, if that is smaller), since the shortest vector
-    and every vector tied with it lie inside that radius.  This stays on LLL
+    and every vector tied with it lie inside that radius.  The search and the
+    comparison of norms run on the body's integer gauge.  This stays on LLL
     plus Fincke-Pohst, not a search over the Hermite normal form: the
     congruence pipeline's boxes are about m/H wide in the HNF's first
     coordinate, so a tree that ranges each HNF coordinate in turn would be
@@ -618,12 +626,12 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
     """
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
-    rows, mu, bn = _lll(lat.basis, body.quad_weights())
-    radius = min([Fraction(1)] + [body.norm(r) / lat.den for r in rows])
-    pts = _points(rows, lat.den, body, radius, budget, mu, bn)
+    rows, gs = _lll(lat.basis, body.quad_weights())
+    cap = min([body._scale * lat.den] + [body._gauge(r) for r in rows])
+    pts = _points(rows, gs, body, cap, budget)
     if not pts:
         return None
-    return min((nrm, _canonical_sign(v)) for nrm, v, _ in pts)[1]
+    return min((g, _canonical_sign(v)) for g, v, _ in pts)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +770,10 @@ def mahler_basis(
     prof = successive_minima(lat, body, budget)
     n = lat.dim
     den = lat.den
-    scale = Fraction(1, den)
     qw = body.quad_weights()
 
-    def coeff_norm(t: Sequence[int]) -> Fraction:
-        vec = [sum(t[i] * lat.basis[i][c] for i in range(n)) * scale for c in range(n)]
-        return body.norm(vec)
+    def lattice_row(t: Sequence[int]) -> list[int]:
+        return [sum(x * row[c] for x, row in zip(t, lat.basis)) for c in range(n)]
 
     wit_coeff: list[tuple[int, ...]] = []
     for w in prof.witnesses:
@@ -776,8 +782,8 @@ def mahler_basis(
             raise DomainError("witness left the lattice")  # unreachable
         wit_coeff.append(t)
 
-    chosen: list[list[int]] = []
-    norms: list[Fraction] = []
+    chosen: list[list[int]] = []  # coefficient rows of w_1..w_j
+    vecs: list[list[int]] = []  # their numerators, chosen . basis
     for j in range(n):
         sat = _saturation([list(t) for t in wit_coeff[: j + 1]], n)
         if len(sat) != j + 1:
@@ -798,25 +804,18 @@ def mahler_basis(
             # minimize over the completion coset u + Z(chosen), u the shift row;
             # u itself qualifies, so the search is never empty
             coeffs = chosen + [u_vec]
-            vecs = [[sum(row[i] * lat.basis[i][c] for i in range(n)) for c in range(n)] for row in coeffs]
-            mu, bn = _gs_fractions(*_gram_dets(vecs, qw))
-            pts = _points(vecs, den, body, coeff_norm(u_vec), budget, mu, bn, shifted=True)
+            rows = vecs + [lattice_row(u_vec)]
+            pts = _points(rows, _gram_dets(rows, qw), body, body._gauge(rows[-1]), budget, shifted=True)
             _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
             sign = 1 if _canonical_sign(vec) == vec else -1
             best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]
-        chosen.append(list(best))
-        norms.append(coeff_norm(best))
+        chosen.append(best)
+        vecs.append(lattice_row(best))
 
+    basis_lat = IntLattice(tuple(tuple(v) for v in vecs), den)
+    norms = tuple(Fraction(body._gauge(v), body._scale * den) for v in vecs)
     factor = max(Fraction(1), Fraction(n, 2))
     within = all(nrm <= factor * lam for nrm, lam in zip(norms, prof.minima))
-    basis_vectors = tuple(
-        tuple(sum(chosen[j][i] * lat.basis[i][c] for i in range(n)) * scale for c in range(n))
-        for j in range(n)
-    )
-    basis_lat = IntLattice(
-        tuple(tuple(sum(chosen[j][i] * lat.basis[i][c] for i in range(n)) for c in range(n)) for j in range(n)),
-        den,
-    )
     if basis_lat.canonical() != lat.canonical():
         raise DomainError("construction did not return a basis")  # unreachable
 
@@ -831,8 +830,8 @@ def mahler_basis(
         cmax = val if cmax is None else max(cmax, val)
     return MahlerBasisRecord(
         prof.minima,
-        basis_vectors,
-        tuple(norms),
+        basis_lat.vectors(),
+        norms,
         factor,
         within,
         tuple(expansions),

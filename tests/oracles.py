@@ -9,13 +9,15 @@ these functions.
 
 The last section keeps the package's earlier lattice routines as references
 for the faster ones that replaced them: LLL that recomputes Gram-Schmidt
-after every row operation, and the shortest vector taken over every lattice
-point out to radius 1.
+after every row operation, the Fincke-Pohst search over Fraction
+Gram-Schmidt data with a Fraction body norm at every leaf, and the shortest
+vector taken over every lattice point out to radius 1.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Iterable, Optional, Sequence
 
 
 def poly_int(coeffs: Sequence[int], x: int) -> int:
@@ -333,6 +335,57 @@ def lll_recompute(
         else:
             i += 1
     return b
+
+
+def points_fraction(
+    rows: Sequence[Sequence[int]],
+    den: int,
+    body,
+    radius: Fraction,
+    mu: Sequence[Sequence[Fraction]],
+    bn: Sequence[Fraction],
+    shifted: bool = False,
+) -> list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]]:
+    """(norm, v, t) for every v = t . rows with body.norm(v / den) <= radius,
+    by Fincke-Pohst over Fraction mu and squared lengths bn.
+
+    Level i tries the integers around -center that an integer square root
+    of rem / bn_i brackets and keeps those whose contribution fits in rem;
+    every leaf is filtered by its Fraction body norm.  Unless shifted, only
+    the one of each +-v whose last nonzero coefficient is positive is
+    visited; when shifted, the last row's coefficient is fixed at 1.
+    """
+    k = len(rows)
+    n = len(rows[0])
+    out: list[tuple[Fraction, tuple[int, ...], tuple[int, ...]]] = []
+    t = [0] * k
+
+    def rec(i: int, rem: Fraction, half: bool) -> None:
+        if i < 0:
+            if not half:
+                v = tuple(sum(x * row[c] for x, row in zip(t, rows)) for c in range(n))
+                nrm = body.norm(v) / den
+                if nrm <= radius:
+                    out.append((nrm, v, tuple(t)))
+            return
+        center = sum(mu[j][i] * t[j] for j in range(i + 1, k))
+        if shifted and i == k - 1:
+            tries: Iterable[int] = (1,)
+        else:
+            x = rem / bn[i]
+            r = math.isqrt(x.numerator // x.denominator)
+            start = math.floor(-center)
+            tries = range(r + 1) if half else range(start - r, start + r + 2)
+        for ti in tries:
+            diff = ti + center
+            contrib = diff * diff * bn[i]
+            if contrib <= rem:
+                t[i] = ti
+                rec(i - 1, rem - contrib, half and ti == 0)
+        t[i] = 0
+
+    rec(k - 1, body.ellipsoid_bound(radius) * den * den, not shifted)
+    return out
 
 
 def shortest_vector_full_radius(lat, body) -> Optional[tuple[int, ...]]:

@@ -324,6 +324,9 @@ CHARSUM_OVER_BUDGET = [
     ["charsum", "primes", "--p", "999983", "--poly", "0,0,1", "--Q", "900000", "--R", "900000"],
     # priced before the 10^9-element residue side is built
     ["charsum", "bilinear", "--p", "101", "--S", str(10**9), "--H", "1"],
+    # p (d + 1) Horner steps: 3 * 999983 and 10 * 999983
+    ["charsum", "weil", "--p", "999983", "--coeffs", "1,0,1"],
+    ["charsum", "weil", "--p", "999983", "--coeffs", "1,2,3,4,5,6,7,8,9,10"],
 ]
 
 

@@ -18,8 +18,11 @@ from energia.lattice import (
     IntLattice,
     UnsupportedSize,
     WeightedBox,
+    DEFAULT_NODE_BUDGET,
+    _gram_dets,
     _independent,
     _lll,
+    _points,
     bv_small_solutions,
     congruence_lattice,
     count_lattice_points,
@@ -238,6 +241,27 @@ def test_dual_body():
     assert cross.polar() == WeightedBox((Fraction(1), Fraction(2)))
 
 
+_positive = st.fractions(min_value=Fraction(1, 60), max_value=1000, max_denominator=60)
+_entry = st.one_of(st.integers(-10**6, 10**6), st.fractions(-1000, 1000, max_denominator=60))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_gauge_matches_per_coordinate_formulas(data):
+    cs = tuple(data.draw(st.lists(_positive, min_size=1, max_size=6)))
+    n = len(cs)
+    ints = data.draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))
+    mixed = data.draw(st.lists(_entry, min_size=n, max_size=n))
+    box, cross = WeightedBox(cs), DualBody(cs)
+    for vec in (ints, mixed):
+        assert box.norm(vec) == max(abs(Fraction(x)) / c for x, c in zip(vec, cs))
+        assert cross.norm(vec) == sum(c * abs(Fraction(x)) for x, c in zip(vec, cs))
+    assert box.quad_weights() == tuple(1 / (c * c) for c in cs)
+    assert cross.quad_weights() == tuple(c * c for c in cs)
+    assert box.dim == cross.dim == n
+    assert box == WeightedBox(tuple(str(c) for c in cs)) and repr(box) == f"WeightedBox(half_widths={cs!r})"
+
+
 # --- lattices ----------------------------------------------------------------
 
 
@@ -321,8 +345,12 @@ def test_lll_in_place_matches_recompute_oracle():
     for rows, qw, delta in runs:
         red = lll_reduce(rows, qw, delta)
         assert red == oracles.lll_recompute(rows, qw, delta)
-        # the Gram-Schmidt data kept in integers is that of the result
-        assert _lll(rows, qw, delta) == (red, *oracles.gram_schmidt_plain(red, qw))
+        # the Gram-Schmidt data kept in integers is that of the result:
+        # mu_ij = lam_ij / d_{j+1} and bn_i = d_{i+1} / (d_i S)
+        basis, (d, lam, scale) = _lll(rows, qw, delta)
+        mu = [[Fraction(x, d[j + 1]) for j, x in enumerate(row)] for row in lam]
+        bn = [Fraction(d[i + 1], d[i] * scale) for i in range(len(lam))]
+        assert (basis, mu, bn) == (red, *oracles.gram_schmidt_plain(red, qw))
     # mu = 5/2 is a tie: round half to even gives (1, 1), half up would give (-1, 1)
     unit = (Fraction(1),) * 2
     assert lll_reduce([[2, 0], [5, 1]], unit) == oracles.lll_recompute([[2, 0], [5, 1]], unit) == [[1, 1], [1, -1]]
@@ -333,6 +361,57 @@ def test_lll_in_place_matches_recompute_oracle():
     # one row is returned as it is, even the zero row that has no Gram-Schmidt data
     for rows in ([[0, 0]], [[3, -4]]):
         assert lll_reduce(rows, (Fraction(1),) * 2) == oracles.lll_recompute(rows, (Fraction(1),) * 2) == rows
+
+
+def _integer_search(rows, gs, den, body, radius, shifted=False):
+    """_points at the cap floor(radius den S), its gauges read back as norms."""
+    cap = radius.numerator * den * body._scale // radius.denominator
+    pts = _points(rows, gs, body, cap, DEFAULT_NODE_BUDGET, shifted)
+    return [(Fraction(g, body._scale * den), v, t) for g, v, t in pts]
+
+
+def test_integer_search_matches_fraction_oracle():
+    rng = random.Random(2610)
+    widths = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2))
+    cases = 0
+    for k in range(64):
+        n = 2 + k % 4
+        den = (1, 2, 6)[k % 3]
+        basis = _random_lattice(n, rng).basis
+        cs = tuple(rng.choice(widths) for _ in range(n))
+        body = DualBody(cs) if k % 2 else WeightedBox(cs)
+        qw = body.quad_weights()
+        rows, gs = _lll(basis, qw)
+        mu, bn = oracles.gram_schmidt_plain(rows, qw)
+        norms = sorted(body.norm(r) / den for r in rows)
+        # the SVP's radius, one between, and the minima engine's below dimension 5
+        radii = {min(norms[0], Fraction(1)), (norms[0] + norms[-1]) / 2}
+        for radius in (radii | {norms[-1]}) if n < 5 else radii:
+            want = oracles.points_fraction(rows, den, body, radius, mu, bn)
+            assert _integer_search(rows, gs, den, body, radius) == want
+            cases += 1
+        # the coset search of mahler_basis, out to the shift's norm: rows that
+        # LLL did not reduce, the last one the shift rows[-1] +- rows[j]
+        if k % 3 == 0:
+            e = [0] * (n - 1) + [1]
+            e[rng.randrange(n - 1)] = rng.choice((-1, 1))
+            coset = rows[:-1] + [[sum(x * r[c] for x, r in zip(e, rows)) for c in range(n)]]
+            radius = body.norm(coset[-1]) / den
+            want = oracles.points_fraction(coset, den, body, radius, *oracles.gram_schmidt_plain(coset, qw), shifted=True)
+            assert want and _integer_search(coset, _gram_dets(coset, qw), den, body, radius, True) == want
+            cases += 1
+    # the congruence pipeline's boxes at m = 10^30
+    for k in range(12):
+        d = 2 + k % 2
+        lat = congruence_lattice([rng.randrange(10**30) for _ in range(d - 1)] + [1], 10**30)
+        body = _pipeline_box(d, 10**30, rng.randrange(10**4, 10**6) if d == 2 else rng.randrange(10, 10**3))
+        qw = body.quad_weights()
+        rows, gs = _lll(lat.basis, qw)
+        radius = min([Fraction(1)] + [body.norm(r) for r in rows])
+        want = oracles.points_fraction(rows, 1, body, radius, *oracles.gram_schmidt_plain(rows, qw))
+        assert want and _integer_search(rows, gs, 1, body, radius) == want
+        cases += 1
+    assert cases >= 200
 
 
 def test_lll_reduce_refuses_a_bad_delta_or_form():
@@ -353,6 +432,12 @@ def test_lll_reduce_refuses_a_bad_delta_or_form():
             lll_reduce([[3, 1], [5, 2]], qw)
         assert time.perf_counter() - t0 < 1.0
     assert lll_reduce([[1, 0, 0], [0, 1, 0]], (1, 1, 0)) == [[1, 0, 0], [0, 1, 0]]
+    # a short form or ragged rows were cut to the shortest length by zip
+    for rows, qw in (([[1, 0, 100], [5, 1, -7]], (1, 1)), ([[1, 0], [5, 1, -7]], (1, 1, 1))):
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="same length"):
+            lll_reduce(rows, qw)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def test_shortest_vector_matches_full_radius_oracle():
