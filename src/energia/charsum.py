@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .ring import (
-    BudgetExceeded,
     DomainError,
     PolyMod,
     RatLike,
+    _charge,
     factorize,
     inv_mod,
     is_probable_prime,
@@ -31,12 +31,6 @@ TABLE_BUDGET = 10**6  # entries of a discrete-log table
 # character evaluations of one sum, about 1 s; a complete sum mod p of a
 # degree-d polynomial is charged p * (d + 1), one per Horner step
 SUM_BUDGET = 10**6
-
-
-def price_sum(evaluations: int, what: str) -> None:
-    """Refuse a sum of more than SUM_BUDGET character evaluations, before it runs."""
-    if evaluations > SUM_BUDGET:
-        raise BudgetExceeded(f"{what} needs {evaluations} character evaluations, over SUM_BUDGET = {SUM_BUDGET}")
 
 
 def smallest_primitive_root(p: int) -> int:
@@ -57,10 +51,7 @@ def _dlog_table(p: int) -> tuple[int, list[int]]:
 
     table[0] = -1.  Refuses p above TABLE_BUDGET before allocating.
     """
-    if p > TABLE_BUDGET:
-        raise BudgetExceeded(
-            f"a discrete-log table mod {p} needs {p} entries, over the budget {TABLE_BUDGET}"
-        )
+    _charge("a discrete-log table", p, "entries", TABLE_BUDGET, "TABLE_BUDGET")
     g = smallest_primitive_root(p)
     table = [-1] * p
     val = 1
@@ -163,7 +154,7 @@ def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
         raise DomainError(f"polynomial modulus {f.modulus} does not match the table's {p}")
     cs = f.coeffs
     d = f.degree
-    price_sum(p * (d + 1), "a complete sum")
+    _charge("a complete sum", p * (d + 1), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
     hist: Counter = Counter()
     for x in range(p):
         acc = 0
@@ -210,11 +201,13 @@ class BilinearInstance:
 
     @classmethod
     def uniform(cls, residues: Sequence[int], H: int) -> "BilinearInstance":
-        """Unit weights on both sides; |residues| * H is priced before any
-        weight is built."""
+        """Unit weights on both sides; H and |residues| * H are checked before
+        any weight is built, so residues may be a range."""
         if not residues:
             raise DomainError("residue set must be nonempty")
-        price_sum(len(residues) * H, "a bilinear sum")
+        if H < 1:
+            raise DomainError(f"H must be >= 1, got {H}")
+        _charge("a bilinear sum", len(residues) * H, "character evaluations", SUM_BUDGET, "SUM_BUDGET")
         rs = tuple(residues)
         return cls(rs, (1,) * len(rs), H, (1,) * H)
 
@@ -231,7 +224,7 @@ class BilinearRecord:
 def bilinear_W(table: CharTable, inst: BilinearInstance) -> BilinearRecord:
     """W = sum over s in the set, x in [1,H] of alpha_s beta_x chi(s + x);
     refused past SUM_BUDGET character evaluations."""
-    price_sum(len(inst.residues) * inst.H, "a bilinear sum")
+    _charge("a bilinear sum", len(inst.residues) * inst.H, "character evaluations", SUM_BUDGET, "SUM_BUDGET")
     total = 0j
     for s, ca in zip(inst.residues, inst.alpha):
         if ca == 0:
@@ -279,7 +272,7 @@ def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBil
     rs = primes_up_to(R)
     if not qs or not rs:
         return PrimeBilinearRecord(0.0, 0.0, len(qs), len(rs), 0.0, 0.0, None)
-    price_sum(2 * len(qs) * len(rs), "a prime bilinear sum")
+    _charge("a prime bilinear sum", 2 * len(qs) * len(rs), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
     fq = [f(q) for q in qs]
     by_q = 0.0
     for v in fq:

@@ -28,8 +28,8 @@ folds the logs when that beats its product loop, which composite moduli
 always keep.
 
 Every fold an entry point starts is priced first (`_afford`), in sparse pair
-steps, a dense fold at the pair count it breaks even with, and refused with
-BudgetExceeded past FOLD_BUDGET.  Entry points given f and an interval price
+steps, a dense fold at the pair count it breaks even with, and refused by
+`ring._charge` past FOLD_BUDGET.  Entry points given f and an interval price
 the worst case, H distinct values, before evaluating f.
 
 Every identity used downstream (mass H^2, the Cauchy-Schwarz
@@ -49,10 +49,10 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 from .charsum import TABLE_BUDGET, _dlog_table
 from .ring import (
-    BudgetExceeded,
     DomainError,
     Interval,
     PolyMod,
+    _charge,
     image_set,
     is_probable_prime,
     poly_values,
@@ -113,17 +113,13 @@ def _dense(pairs: int, m: int) -> bool:
 
 
 def _afford(stage: str, na: int, nb: int, m: Optional[int] = None) -> None:
-    """BudgetExceeded unless a fold of na by nb keys (mod m) fits FOLD_BUDGET.
+    """Charge a fold of na by nb keys (mod m) against FOLD_BUDGET.
 
     The cost is in sparse pair steps on the backend `_fold` would pick: na * nb
     pairs, or, for a dense fold, the pair count it breaks even with.
     """
     cost = na * nb if m is None else min(na * nb, _crossover(m))
-    if cost > FOLD_BUDGET:
-        raise BudgetExceeded(
-            f"{stage}: a fold of up to {na} x {nb} keys costs {cost} pair steps, "
-            f"over the budget FOLD_BUDGET = {FOLD_BUDGET}"
-        )
+    _charge(stage, cost, "pair steps", FOLD_BUDGET, "FOLD_BUDGET")
 
 
 # memoryview formats of native unsigned slots; widths between them are

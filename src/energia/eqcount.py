@@ -29,21 +29,19 @@ from .lattice import (
     shortest_vector_in,
 )
 from .ring import (
-    BudgetExceeded,
     DomainError,
     PolyMod,
+    _charge,
     centered,
     int_poly_eval,
     inv_mod,
 )
 
 BRUTE_BUDGET = 1_500_000  # steps: values, divisor candidates, root-search evaluations, pairs
-
-
-def _charge(stage: str, steps: int, budget: int = BRUTE_BUDGET) -> None:
-    """BudgetExceeded when a stage would take more steps than the budget."""
-    if steps > budget:
-        raise BudgetExceeded(f"{stage}: {steps} steps exceed the budget {budget}")
+# a regime_constant walk makes about b = max_den.bit_length() comparisons, each
+# on (d + 1) b-bit powers; Karatsuba products of n bits grow as n^1.58, so b of
+# them cost about as much as one of n sqrt(b) bits, charged here; about 1 s
+_POWER_BUDGET = 3 * 10**6
 
 
 def poly_shift_coeffs(coeffs: Sequence[int], t: int) -> list[int]:
@@ -149,9 +147,9 @@ def count_eq(
     steps = H - 1 if target == 0 else min(H - 1, math.isqrt(abs(target)))
     if collect and (target == 0 or d == 1):
         steps += H  # the diagonal, or the bulk of a linear f's one shift
-    _charge("count_eq", steps)
+    _charge("count_eq", steps, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
     shifts = [s for t in _divisors_upto(target, H - 1) for s in (t, -t)]
-    _charge("count_eq", steps + len(shifts) * d * d * H.bit_length())
+    _charge("count_eq", steps + len(shifts) * d * d * H.bit_length(), "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
     sols = {(n, n) for n in range(1, H + 1)} if target == 0 and collect else set()
     extra = H if target == 0 and not collect else 0  # counted, not collected: diagonal and bulk
     for t in shifts:
@@ -213,12 +211,15 @@ def regime_constant(d: int, max_den: int = 10**6) -> Fraction:
     nonzero lattice point is guaranteed whenever H <= c * m^(2/d(d+1)) with
     c at most the cutoff (100 d)^(-2/(d+1)).  Stern-Brocot walk with run
     acceleration; comparisons against the irrational cutoff are the exact
-    integer test p^(d+1) (100 d)^2 <= q^(d+1).
+    integer test p^(d+1) (100 d)^2 <= q^(d+1), priced in operand bits
+    against _POWER_BUDGET before the walk starts.
     """
     if d < 2:
         raise DomainError(f"degree must be >= 2, got {d}")
     if max_den < 1:
         raise DomainError("denominator cap must be positive")
+    b = max_den.bit_length()
+    _charge("regime_constant", (d + 1) * b * math.isqrt(b), "operand bits", _POWER_BUDGET, "_POWER_BUDGET")
 
     def below(p: int, q: int) -> bool:
         return p ** (d + 1) * (100 * d) ** 2 <= q ** (d + 1)
@@ -365,7 +366,7 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
     Priced in steps: the H values, refused before f is evaluated, then the
     solutions, whose exact number the histogram gives before any is collected.
     """
-    _charge("brute_congruence", H, budget)
+    _charge("brute_congruence", H, "steps", budget, "budget")
     m = f.modulus
     vals = [f(x) for x in range(1, H + 1)]
     where: dict[int, list[int]] = {}
@@ -373,7 +374,7 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
         where.setdefault(v, []).append(x)
     hits = [where.get((v + shift) % m, ()) for v in vals]
     count = sum(map(len, hits))
-    _charge("brute_congruence", H + count, budget)
+    _charge("brute_congruence", H + count, "steps", budget, "budget")
     return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))
 
 

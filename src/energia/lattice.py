@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .ring import BudgetExceeded, DomainError, RatLike, ints_from_string, to_fraction
+from .ring import DomainError, RatLike, _charge, ints_from_string, to_fraction
 
 MAX_ENUM_DIM = 8
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -519,7 +519,7 @@ def _points(
         for ti in tries:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} nodes")
+                _charge("lattice enumeration", nodes, "nodes", budget, "budget")
             y = di * ti + c
             t[i] = ti
             rec(i - 1, rem - y * y * part[i], half and ti == 0)

@@ -23,6 +23,19 @@ class BudgetExceeded(RuntimeError):
 FACTOR_BUDGET = 10**5  # trial-division steps, each trying two divisors 6k +- 1
 
 
+def _charge(stage: str, units: int, unit: str, budget: int, name: str) -> None:
+    """BudgetExceeded when a stage needs more units of work than its budget.
+
+    Every budget of the package is charged here, and every refusal reads
+    "stage: units unit exceed the budget (name = budget)".  A number past 64
+    bits is shown by its bit length, "at least 2^k", so no message writes
+    out an integer too long for str().
+    """
+    if units > budget:
+        u, b = (str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}" for n in (units, budget))
+        raise BudgetExceeded(f"{stage}: {u} {unit} exceed the budget ({name} = {b})")
+
+
 @dataclass(frozen=True)
 class PolyMod:
     """A polynomial over Z/m of degree >= 1.
@@ -142,10 +155,7 @@ def factorize(w: int) -> Factorization:
     p = 5
     while p * p <= n:
         if p > 6 * FACTOR_BUDGET:
-            raise BudgetExceeded(
-                f"factorizing {w}: trial division passed {FACTOR_BUDGET} steps "
-                f"with a cofactor {n} left"
-            )
+            _charge("factorize", p // 6 + 1, "trial-division steps", FACTOR_BUDGET, "FACTOR_BUDGET")
         for q in (p, p + 2):
             e = 0
             while n % q == 0:

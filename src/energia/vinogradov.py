@@ -18,9 +18,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .energy import _fold, _squares
-from .ring import BudgetExceeded, DomainError, Interval, PolyMod, poly_values
+from .ring import DomainError, Interval, PolyMod, _charge, int_poly_eval, poly_values
 
-DEFAULT_BUDGET = 10**8
+DEFAULT_BUDGET = 10**8  # hash insertions, size^s for s folds over size keys
+# bits of the H + 1 vectors count_I packs, each d * radix.bit_length(); under
+# 1 s, the worst being H = 1, where Horner takes d steps on keys that long
+_KEY_BUDGET = 4 * 10**5
 
 
 @dataclass(frozen=True)
@@ -69,15 +72,9 @@ def _check_ds(d: int, s: int) -> None:
         raise DomainError(f"s must be an integer >= 1, got {s!r}")
 
 
-def _guard(size: int, s: int, budget: int) -> None:
-    if size**s > budget:
-        raise BudgetExceeded(
-            f"{size}^{s} = {size**s} hash insertions exceed the budget {budget}"
-        )
-
-
-def _pack(vec: Sequence[int], radix: int) -> int:
-    return sum(v * radix**i for i, v in enumerate(vec))
+def _tuples(size: int, s: int, budget: int) -> int:
+    """size^s hash insertions, s capped at max(64, budget bits): over the budget iff size^s is."""
+    return size ** min(s, max(64, budget.bit_length()))
 
 
 def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Counter, int]:
@@ -89,7 +86,7 @@ def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Count
     injective on everything compared.
     """
     radix = 4 * s * max(abs(x) for x in elements) ** d + 1
-    single = Counter(_pack([x**j for j in range(1, d + 1)], radix) for x in elements)
+    single = Counter(int_poly_eval([x**j for j in range(1, d + 1)], radix) for x in elements)
     hist: Counter[int] = Counter({0: 1})
     for _ in range(s):  # ordered tuples, so no symmetry factor
         hist = _fold(hist, single)
@@ -97,13 +94,17 @@ def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Count
 
 
 def count_J(d: int, s: int, elements: Sequence[int], budget: int = DEFAULT_BUDGET) -> int:
-    """J_{d,s}(X): diagonal count of the d-equation, 2s-variable power-sum system."""
+    """J_{d,s}(X): diagonal count of the d-equation, 2s-variable power-sum system.
+
+    Only the first min(d, s) equations are folded: by Newton-Girard the power
+    sums 1..s of an s-tuple fix its multiset, so they imply every higher one.
+    """
     _check_ds(d, s)
     xs = sorted(set(int(x) for x in elements))
     if not xs:
         raise DomainError("X must be nonempty")
-    _guard(len(xs), s, budget)
-    return _squares(_power_sum_histogram(d, s, xs)[0])
+    _charge("count_J", _tuples(len(xs), s, budget), "hash insertions", budget, "budget")
+    return _squares(_power_sum_histogram(min(d, s), s, xs)[0])
 
 
 def count_I(
@@ -123,23 +124,25 @@ def count_I(
     lam = tuple(int(v) for v in shifts)
     if len(lam) != d:
         raise DomainError(f"need {d} shift components, got {len(lam)}")
+    _charge("count_I", _tuples(H, s, budget), "hash insertions", budget, "budget")
+    # radix = 4 s H^d + 1 has at most (4s).bit_length() + d (H - 1).bit_length() bits
+    key_bits = d * ((4 * s).bit_length() + d * (H - 1).bit_length())
+    _charge("count_I", (H + 1) * key_bits, "key bits", _KEY_BUDGET, "_KEY_BUDGET")
     for j, v in enumerate(lam, start=1):
         if abs(v) > s * H**j:
             raise DomainError(
                 f"|shift_{j}| = {abs(v)} exceeds the attainable range s*H^{j} = {s * H**j}"
             )
-    _guard(H, s, budget)
     hist, radix = _power_sum_histogram(d, s, range(1, H + 1))
-    shift = _pack(lam, radix)
+    shift = int_poly_eval(lam, radix)
     return sum(c * hist.get(k - shift, 0) for k, c in hist.items())
 
 
 def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGET) -> int:
     """T_s = #{2s-tuples in I^{2s} : sum f(x_i) = sum f(y_i) mod m}; s=2 is energy_T."""
     _check_ds(1, s)
-    vals = poly_values(f, interval)
-    _guard(len(vals), s, budget)
-    hist = Counter(vals)
+    _charge("count_Ts", _tuples(interval.H, s, budget), "hash insertions", budget, "budget")
+    hist = Counter(poly_values(f, interval))
     layer: Counter[int] = Counter({0: 1})
     for _ in range(s):
         layer = _fold(layer, hist, f.modulus)

@@ -338,6 +338,44 @@ def test_charsum_budget_refuses_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # size^s is priced from bit lengths, never written out whole
+    ["vinogradov", "--d", "1", "--s", "10000", "--H", "3"],
+    ["vinogradov", "--d", "1", "--s", "10000000", "--H", "3"],
+    ["vinogradov", "--d", "2", "--s", "9000", "--set", "1,2,3"],
+    # every comparison of the walk raises to the 10^6 + 1-th power
+    ["eqcount", "constant", "--d", "1000000"],
+    # a 10^5-component key for each of the 4 packed vectors
+    ["vinogradov", "--d", "100000", "--s", "1", "--H", "3", "--shifts", ",".join(["0"] * 100000)],
+    # H is checked before the 10^9 residues are built
+    ["charsum", "bilinear", "--p", "101", "--S", "1000000000", "--H", "0"],
+    # S past sys.maxsize: the residue range is priced without len() overflowing
+    ["charsum", "bilinear", "--p", "7", "--S", str(10**400), "--H", "1"],
+])
+def test_huge_inputs_refuse_at_once_with_a_short_error(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error:") and len(err) < 200, err
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("argv, count", [
+    # the equations j > s follow from the first s (Newton-Girard)
+    (["vinogradov", "--d", "3000", "--s", "1", "--set", "1,2"], 2),
+    (["vinogradov", "--d", "100000", "--s", "2", "--H", "3"], 15),
+])
+def test_count_J_of_huge_degree_answers_at_once(capsys, argv, count):
+    t0 = time.perf_counter()
+    payload, _ = _run_json(capsys, argv)
+    assert payload["count"] == count
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_output_is_one_json_line(capsys):
+    rc, out, _ = _run(capsys, ["eqcount", "eq", "--coeffs", "0,1", "--target", "1", "--H", "5"])
+    assert rc == 0 and out == '{"count": 4, "solutions": [[2, 1], [3, 2], [4, 3], [5, 4]]}\n'
+
+
 def test_verify_modulus_beyond_float_range(tmp_path, capsys):
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("moduli = 1" + "0" * 320 + "\nlengths = 4, 5\n")

@@ -1,9 +1,13 @@
 import math
+import re
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
+from energia import charsum, energy, eqcount, lattice, vinogradov
 from energia.ring import (
+    BudgetExceeded,
     DomainError,
     Factorization,
     Interval,
@@ -191,3 +195,32 @@ def test_bad_rationals_raise_domain_error(call):
 @given(st.lists(st.integers(-9, 9), min_size=1, max_size=6), st.integers(-9, 9))
 def test_int_poly_eval(coeffs, x):
     assert int_poly_eval(coeffs, x) == sum(c * x**j for j, c in enumerate(coeffs))
+
+
+# --- one refusal format for every budget ---
+
+REFUSAL = re.compile(
+    r"[\w -]+: (\d+|at least 2\^\d+) [\w -]+ exceed the budget \(\w+ = (\d+|at least 2\^\d+)\)"
+)
+
+
+@pytest.mark.parametrize("stage, call", [
+    ("energy_plus", lambda: energy.energy_plus(PolyMod((0, 0, 1), 10**9 + 7), Interval(300000))),
+    ("brute_congruence", lambda: eqcount.brute_congruence(PolyMod((0, 0, 1), 10**9 + 7), 1, 10, budget=9)),
+    ("count_eq", lambda: eqcount.count_eq((0, 0, 1), 0, 10**8)),
+    ("a bilinear sum", lambda: charsum.BilinearInstance.uniform(range(1, 10**12 + 1), 10**12)),
+    ("a discrete-log table", lambda: charsum.CharTable.build(charsum.TABLE_BUDGET + 3)),
+    ("count_J", lambda: vinogradov.count_J(1, 10**7, (1, 2, 3))),
+    ("count_I", lambda: vinogradov.count_I(10**4, 1, 3, (0,) * 10**4)),
+    ("factorize", lambda: factorize((10**6 + 3) * (10**6 + 33))),
+    ("lattice enumeration", lambda: lattice.count_lattice_points(
+        lattice.IntLattice(((1, 0), (0, 1))), WeightedBox((100, 100)), budget=10)),
+    ("regime_constant", lambda: eqcount.regime_constant(10**6)),
+])
+def test_every_budget_refuses_in_one_format_at_once(stage, call):
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        call()
+    assert time.perf_counter() - t0 < 1.0
+    msg = str(info.value)
+    assert msg.startswith(f"{stage}: ") and REFUSAL.fullmatch(msg), msg

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod
+from energia.energy import _squares
 from energia.vinogradov import (
     PowerSumVector,
+    _power_sum_histogram,
     SystemCount,
     check_J_bound,
     count_I,
@@ -133,3 +137,15 @@ def test_count_I_at_the_shift_boundary(d, s, H):
     for lam in (edge, [-v for v in edge], [(-1) ** j * v for j, v in enumerate(edge)], near,
                 [-v for v in near]):
         assert count_I(d, s, H, lam) == oracles.count_I_recursive(d, s, H, lam)
+
+
+def test_count_J_folds_only_the_first_s_equations():
+    # Newton-Girard: power sums 1..s of an s-tuple fix its multiset, so
+    # folding all d > s equations counts the same 2s-tuples
+    rng = random.Random(20261018)
+    for _ in range(60):
+        s = rng.randint(1, 3)
+        d = rng.randint(s + 1, s + 4)
+        xs = sorted(set(rng.sample(range(-12, 13), rng.randint(1, 6))))
+        full = _squares(_power_sum_histogram(d, s, xs)[0])
+        assert count_J(d, s, xs) == count_J(s, s, xs) == full, (d, s, xs)
