@@ -307,9 +307,6 @@ class BilinearBoundRecord:
     flags: dict
     assumption: str = field(default="p^(o(1)) factor taken as 1", compare=False)
 
-    def all_flags(self) -> bool:
-        return all(self.flags.values())
-
 
 def bilinear_energy_bound(S: int, H: int, p: int, energy: int, r: int) -> BilinearBoundRecord:
     """Numeric bilinear-sum bound driven by an additive energy estimate.

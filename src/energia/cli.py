@@ -17,17 +17,22 @@ from typing import Optional, Sequence
 from . import bounds, charsum, eqcount, energy, lattice, ring, sweep, vinogradov
 
 
+_PLAIN = (int, str, float, type(None))
+
+
 def json_ready(obj):
+    # lists and tuples come first, and plain children are returned inline:
+    # a large output is mostly long lists of ints
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _PLAIN else json_ready(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: json_ready(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _PLAIN else json_ready(v) for k, v in obj.items()}
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, dict):
-        return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [json_ready(v) for v in obj]
     return obj
 
 

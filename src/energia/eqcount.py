@@ -224,38 +224,33 @@ def regime_constant(d: int, max_den: int = 10**6) -> Fraction:
     def below(p: int, q: int) -> bool:
         return p ** (d + 1) * (100 * d) ** 2 <= q ** (d + 1)
 
+    def run(ok, cap: int) -> int:
+        """Largest j <= cap with ok(j), given ok(1): gallop, then bisect."""
+        j = 1
+        while j * 2 <= cap and ok(2 * j):
+            j *= 2
+        lo, hi = j, min(2 * j, cap)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if ok(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
     a, b = 0, 1  # lo <= cutoff
     x, y = 1, 1  # hi > cutoff
     while b + y <= max_den:
         if below(a + x, b + y):
             # mediants march up toward the cutoff; take the longest run
-            jcap = (max_den - b) // y
-            j = 1
-            while j * 2 <= jcap and below(a + 2 * j * x, b + 2 * j * y):
-                j *= 2
-            lo_j, hi_j = j, min(2 * j, jcap)
-            while lo_j < hi_j:
-                mid = (lo_j + hi_j + 1) // 2
-                if below(a + mid * x, b + mid * y):
-                    lo_j = mid
-                else:
-                    hi_j = mid - 1
-            a, b = a + lo_j * x, b + lo_j * y
+            j = run(lambda j: below(a + j * x, b + j * y), (max_den - b) // y)
+            a, b = a + j * x, b + j * y
         else:
             jcap = (max_den - y) // b
             if jcap < 1:
                 break
-            j = 1
-            while j * 2 <= jcap and not below(2 * j * a + x, 2 * j * b + y):
-                j *= 2
-            lo_j, hi_j = j, min(2 * j, jcap)
-            while lo_j < hi_j:
-                mid = (lo_j + hi_j + 1) // 2
-                if not below(mid * a + x, mid * b + y):
-                    lo_j = mid
-                else:
-                    hi_j = mid - 1
-            x, y = lo_j * a + x, lo_j * b + y
+            j = run(lambda j: not below(j * a + x, j * b + y), jcap)
+            x, y = j * a + x, j * b + y
     if a == 0:
         raise DomainError("denominator cap too small to approximate the cutoff")
     return Fraction(a, b)

@@ -4,17 +4,18 @@ Everything is certified in rational arithmetic: successive minima come with
 witness vectors, Minkowski's second theorem is checked as an exact sandwich,
 duality is an involution on canonical (Hermite normal form) bases, and the
 small-nullspace constructor proves its product bound with integer
-comparisons.  The integer linear algebra is one Hermite normal form (with
-its unimodular transform) and one fraction-free elimination.  Each norm body
-keeps one integer gauge (integer weights over one common scale), and every
-search for lattice points (points within a radius, the shortest vector, the
-minima, the coset search of mahler_basis) is one Fincke-Pohst enumeration,
-_points, in integers: it reads the Gram determinants and scaled
-coefficients of integral LLL (the coset search takes the same integer
-Gram-Schmidt unreduced), ranges each level exactly by an integer square
-root, filters by the integer gauge, and visits one of each pair +-v.
-Fractions are built only for the norms reported.  Floating point appears
-only in the Monte Carlo estimate of fractional_measure.
+comparisons.  The integer linear algebra is one Hermite normal form loop
+(a unimodular transform is read off the HNF of [M | I], and mahler_basis
+takes its whole filtration from one such transform) and one fraction-free
+elimination.  Each norm body keeps one integer gauge (integer weights over
+one common scale), and every search for lattice points (points within a
+radius, the shortest vector, the minima, the coset search of mahler_basis)
+is one Fincke-Pohst enumeration, _points, in integers: it reads the Gram
+determinants and scaled coefficients of integral LLL (the coset search
+takes the same integer Gram-Schmidt unreduced), ranges each level exactly
+by an integer square root, filters by the integer gauge, and visits one of
+each pair +-v.  Fractions are built only for the norms reported.  Floating
+point appears only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
@@ -40,21 +41,14 @@ class UnsupportedSize(DomainError):
 
 
 def hnf_rows(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Row-style Hermite normal form.
+    """Row-style Hermite normal form; the one HNF loop here.
 
     Returns (rows, rank): a staircase with positive pivots, entries above
     each pivot reduced into [0, pivot), zero rows at the bottom.
     """
-    rows, _, rank = hnf_with_transform(mat)
-    return rows, rank
-
-
-def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
-    """(H, U, rank) with U unimodular and U * mat = H in Hermite normal form."""
     rows = [list(map(int, r)) for r in mat]
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     r = 0
     for c in range(ncols):
         if r >= nrows:
@@ -68,25 +62,35 @@ def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], l
                     q = rows[i][c] // rows[r][c]
                     if q:
                         rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
                 nz = [i for i in nz if rows[i][c] != 0]
             if not nz:
                 break
             i0 = min(nz, key=lambda i: abs(rows[i][c]))
             rows[r], rows[i0] = rows[i0], rows[r]
-            u[r], u[i0] = u[i0], u[r]
         if rows[r][c] != 0:
             if rows[r][c] < 0:
                 rows[r] = [-a for a in rows[r]]
-                u[r] = [-a for a in u[r]]
             piv = rows[r][c]
             for i in range(r):
                 q = rows[i][c] // piv
                 if q:
                     rows[i] = [a - q * b for a, b in zip(rows[i], rows[r])]
-                    u[i] = [a - q * b for a, b in zip(u[i], u[r])]
             r += 1
-    return rows, u, r
+    return rows, r
+
+
+def hnf_with_transform(mat: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[list[int]], int]:
+    """(H, U, rank) with U unimodular and U * mat = H in Hermite normal form.
+
+    [H | U] is the Hermite normal form of [mat | I] and rank counts the
+    nonzero rows of H, so the rows of U past the rank are in Hermite normal
+    form too: the canonical basis of the saturated left kernel of mat.
+    """
+    n = len(mat)
+    ncols = len(mat[0]) if n else 0
+    aug, _ = hnf_rows([list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(mat)])
+    rank = sum(1 for r in aug if any(r[:ncols]))
+    return [r[:ncols] for r in aug], [r[ncols:] for r in aug], rank
 
 
 def _eliminate(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tuple[list[list[int]], list[int], int]:
@@ -139,10 +143,9 @@ def det_int(mat: Sequence[Sequence[int]]) -> int:
 
 
 def integer_kernel(mat: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis rows of the saturated integer kernel {w : mat . w = 0}.
-
-    Computed from the unimodular transform of HNF(mat^T): the transform rows
-    that map onto zero rows are a basis, and saturation is automatic.
+    """The canonical (Hermite normal form) basis of the saturated integer
+    kernel {w : mat . w = 0}: the rows of the unimodular transform of
+    HNF(mat^T) past its rank (see hnf_with_transform).
     """
     rows = [list(map(int, r)) for r in mat]
     if not rows:
@@ -729,27 +732,6 @@ class MahlerBasisRecord:
     expansion_constant: Optional[Fraction]
 
 
-def _complete_unimodular(u_rows: list[list[int]], size: int) -> list[int]:
-    """A row completing u_rows ((size-1) x size, extendable) to det +-1."""
-    cof: list[int] = []
-    for i in range(size):
-        minor = [[row[j] for j in range(size) if j != i] for row in u_rows]
-        cof.append((-1) ** (size - 1 + i) * det_int(minor))
-    # row 0 of the transform of HNF(cof as a column) solves sum x_i cof_i = gcd
-    h, u, _ = hnf_with_transform([[c] for c in cof])
-    if h[0][0] != 1:
-        raise DomainError("sublattice is not a direct summand")  # unreachable by construction
-    return u[0]
-
-
-def _saturation(rows: list[list[int]], dim: int) -> list[list[int]]:
-    """Basis of span_Q(rows) intersect Z^dim (the saturated subgroup)."""
-    perp = integer_kernel(rows)
-    if not perp:
-        return [[int(i == j) for j in range(dim)] for i in range(dim)]
-    return integer_kernel(perp)
-
-
 def mahler_basis(
     lat: IntLattice,
     body: Body,
@@ -760,6 +742,11 @@ def mahler_basis(
 
     Built greedily: w_j is the shortest completion of (w_1..w_{j-1}) to a
     basis of L intersect span(v_1..v_j), found by exact coset enumeration.
+    The filtration comes from one transform: for the witnesses' coefficient
+    rows T, U T^T = H is upper triangular, so T = H^T C with C = U^-T
+    unimodular.  Row c_j of C then completes its rows before it to a basis
+    of the saturation of span(t_1..t_j), and the coset searched,
+    c_j + Z(w_1..w_{j-1}), is that of every completion, up to sign.
     The expansion certificate reports, for each queried vector b in L,
     integer coefficients b = sum c_j w_j and the value max_j |c_j| lambda_j.
     """
@@ -781,23 +768,15 @@ def mahler_basis(
         if t is None:
             raise DomainError("witness left the lattice")  # unreachable
         wit_coeff.append(t)
+    _, u, rank = hnf_with_transform(list(zip(*wit_coeff)))
+    if rank != n:
+        raise DomainError("witnesses are not independent")  # unreachable
+    d, adj = _inverse_scaled(u)  # U^-1 = adj / d, d = +-1
 
     chosen: list[list[int]] = []  # coefficient rows of w_1..w_j
     vecs: list[list[int]] = []  # their numerators, chosen . basis
     for j in range(n):
-        sat = _saturation([list(t) for t in wit_coeff[: j + 1]], n)
-        if len(sat) != j + 1:
-            raise DomainError("witnesses are not independent")  # unreachable
-        # coordinates of the already-chosen rows inside the saturation
-        u_rows = []
-        sat_lat = IntLattice(tuple(tuple(r) for r in sat))
-        for t in chosen:
-            coords = sat_lat.coefficients_of(t)
-            if coords is None:
-                raise DomainError("chosen vector escaped the filtration")  # unreachable
-            u_rows.append(list(coords))
-        comp = _complete_unimodular(u_rows, j + 1)
-        u_vec = [sum(comp[i] * sat[i][c] for i in range(j + 1)) for c in range(n)]
+        u_vec = [d * row[j] for row in adj]  # row j of U^-T
         if not chosen:
             best = list(_canonical_sign(tuple(u_vec)))
         else:
@@ -896,7 +875,8 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
         raise DomainError("matrix must have full row rank")  # unreachable after rank check
 
     kernel_gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in kernel] for ri in kernel]
-    if det_int(kernel_gram) * minor_gcd**2 != gram_det:
+    kernel_det = det_int(kernel_gram)
+    if kernel_det * minor_gcd**2 != gram_det:
         raise DomainError("kernel covolume identity failed")  # unreachable
 
     max_norms = tuple(max(abs(x) for x in w) for w in wits)
@@ -904,16 +884,16 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
     product_ok = product**2 * minor_gcd**2 <= gram_det
     min_ok = min(max_norms) ** (2 * k) * minor_gcd**2 <= gram_det
 
-    coords = [IntLattice(tuple(tuple(r) for r in kernel)).coefficients_of(w) for w in wits]
-    if any(c is None for c in coords):
-        raise DomainError("witness left the kernel lattice")  # unreachable
-    is_basis = abs(det_int([list(c) for c in coords])) == 1
+    # every witness solves M w = 0 and the covolume identity certifies that
+    # the kernel rows K are saturated, so W = C K for an integer C, and
+    # det(W W^T) = det(C)^2 det(K K^T): W is a basis exactly when they agree
+    wit_gram = [[sum(a * b for a, b in zip(wi, wj)) for wj in wits] for wi in wits]
+    is_basis = det_int(wit_gram) == kernel_det
 
-    hnf_kernel, rank = hnf_rows(kernel)
     return NullspaceRecord(
         tuple(wits),
         is_basis,
-        tuple(tuple(r) for r in hnf_kernel[:rank]),
+        tuple(tuple(r) for r in kernel),
         max_norms,
         product,
         minor_gcd,

@@ -10,8 +10,9 @@ these functions.
 The last section keeps the package's earlier lattice routines as references
 for the faster ones that replaced them: LLL that recomputes Gram-Schmidt
 after every row operation, the Fincke-Pohst search over Fraction
-Gram-Schmidt data with a Fraction body norm at every leaf, and the shortest
-vector taken over every lattice point out to radius 1.
+Gram-Schmidt data with a Fraction body norm at every leaf, the shortest
+vector taken over every lattice point out to radius 1, and the Mahler basis
+built from a fresh saturation and a cofactor completion at every step.
 """
 from __future__ import annotations
 
@@ -404,3 +405,83 @@ def shortest_vector_full_radius(lat, body) -> Optional[tuple[int, ...]]:
         if best is None or key < best:
             best = key
     return None if best is None else best[1]
+
+
+def _complete_unimodular(u_rows: list[list[int]], size: int) -> list[int]:
+    """A row completing u_rows ((size-1) x size, extendable) to det +-1."""
+    from energia.lattice import det_int, hnf_with_transform
+
+    cof: list[int] = []
+    for i in range(size):
+        minor = [[row[j] for j in range(size) if j != i] for row in u_rows]
+        cof.append((-1) ** (size - 1 + i) * det_int(minor))
+    # row 0 of the transform of HNF(cof as a column) solves sum x_i cof_i = gcd
+    h, u, _ = hnf_with_transform([[c] for c in cof])
+    assert h[0][0] == 1, "sublattice is not a direct summand"
+    return u[0]
+
+
+def _saturation(rows: list[list[int]], dim: int) -> list[list[int]]:
+    """Basis of span_Q(rows) intersect Z^dim (the saturated subgroup)."""
+    from energia.lattice import integer_kernel
+
+    perp = integer_kernel(rows)
+    if not perp:
+        return [[int(i == j) for j in range(dim)] for i in range(dim)]
+    return integer_kernel(perp)
+
+
+def mahler_basis_by_saturation(lat, body, queries=()):
+    """mahler_basis as it was built before one transform gave the whole
+    filtration: at every step j, the saturation of span(t_1..t_j) by two
+    integer kernels, the chosen rows' coordinates in it, and a unimodular
+    completion from cofactors, then the same coset search."""
+    from energia.lattice import (
+        IntLattice, MahlerBasisRecord, DEFAULT_NODE_BUDGET, _canonical_sign, _gram_dets, _points, successive_minima,
+    )
+
+    prof = successive_minima(lat, body)
+    n = lat.dim
+    qw = body.quad_weights()
+
+    def lattice_row(t: Sequence[int]) -> list[int]:
+        return [sum(x * row[c] for x, row in zip(t, lat.basis)) for c in range(n)]
+
+    wit_coeff = [lat.coefficients_of(w) for w in prof.witnesses]
+    chosen: list[list[int]] = []
+    vecs: list[list[int]] = []
+    for j in range(n):
+        sat = _saturation([list(t) for t in wit_coeff[: j + 1]], n)
+        assert len(sat) == j + 1
+        sat_lat = IntLattice(tuple(tuple(r) for r in sat))
+        u_rows = [list(sat_lat.coefficients_of(t)) for t in chosen]
+        comp = _complete_unimodular(u_rows, j + 1)
+        u_vec = [sum(comp[i] * sat[i][c] for i in range(j + 1)) for c in range(n)]
+        if not chosen:
+            best = list(_canonical_sign(tuple(u_vec)))
+        else:
+            coeffs = chosen + [u_vec]
+            rows = vecs + [lattice_row(u_vec)]
+            pts = _points(rows, _gram_dets(rows, qw), body, body._gauge(rows[-1]), DEFAULT_NODE_BUDGET, shifted=True)
+            _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
+            sign = 1 if _canonical_sign(vec) == vec else -1
+            best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]
+        chosen.append(best)
+        vecs.append(lattice_row(best))
+
+    basis_lat = IntLattice(tuple(tuple(v) for v in vecs), lat.den)
+    norms = tuple(Fraction(body._gauge(v), body._scale * lat.den) for v in vecs)
+    factor = max(Fraction(1), Fraction(n, 2))
+    expansions = []
+    for q in queries:
+        coords = basis_lat.coefficients_of(q)
+        expansions.append((coords, max(abs(c) * lam for c, lam in zip(coords, prof.minima))))
+    return MahlerBasisRecord(
+        prof.minima,
+        basis_lat.vectors(),
+        norms,
+        factor,
+        all(nrm <= factor * lam for nrm, lam in zip(norms, prof.minima)),
+        tuple(expansions),
+        max((val for _, val in expansions), default=None),
+    )

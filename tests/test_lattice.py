@@ -108,6 +108,10 @@ def test_hnf_transform_is_unimodular():
         ]
         assert prod == h
         assert abs(_det_laplace(u)) == 1
+        assert (h, rank) == hnf_rows(mat)
+        # [H | U] is the HNF of [mat | I]: the rows of U past the rank are in HNF
+        tail = u[rank:]
+        assert hnf_rows(tail) == (tail, len(tail))
 
 
 def test_det_matches_laplace():
@@ -130,6 +134,7 @@ def test_integer_kernel_is_saturated():
             assert all(sum(r[c] * w[c] for c in range(d)) == 0 for r in mat)
         if not kern:
             continue
+        assert hnf_rows(kern) == (kern, len(kern))  # the canonical basis
         klat = IntLattice(tuple(tuple(r) for r in kern))
         # saturation: every small integer solution already lies in the kernel lattice
         ranges = [range(-3, 4)] * d
@@ -622,6 +627,23 @@ def test_mahler_on_random_lattices():
         rec = mahler_basis(lat, body)
         assert rec.within_factor
         assert all(n1 <= rec.factor * n2 for n1, n2 in zip(rec.norms, rec.minima))
+
+
+def test_mahler_basis_matches_saturation_oracle():
+    # one transform for the whole filtration against a fresh saturation and
+    # cofactor completion at every step: the same records, queries included
+    rng = random.Random(1212)
+    widths = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2))
+    for k in range(48):
+        n = 2 + k % 3
+        lat = IntLattice(_random_lattice(n, rng).basis, 1 + k // 3 % 3)
+        cs = tuple(rng.choice(widths) for _ in range(n))
+        body = DualBody(cs) if k % 2 else WeightedBox(cs)
+        queries = [
+            tuple(Fraction(sum(t[i] * lat.basis[i][c] for i in range(n)), lat.den) for c in range(n))
+            for t in ([rng.randint(-3, 3) for _ in range(n)] for _ in range(2))
+        ]
+        assert mahler_basis(lat, body, queries) == oracles.mahler_basis_by_saturation(lat, body, queries)
 
 
 def test_bv_frozen_examples():
