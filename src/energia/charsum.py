@@ -13,6 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .ring import (
@@ -23,13 +24,15 @@ from .ring import (
     factorize,
     inv_mod,
     is_probable_prime,
+    poly_table,
     primes_up_to,
     to_fraction,
 )
 
 TABLE_BUDGET = 10**6  # entries of a discrete-log table
 # character evaluations of one sum, about 1 s; a complete sum mod p of a
-# degree-d polynomial is charged p * (d + 1), one per Horner step
+# degree-d polynomial is charged p * (d + 1): p table entries, each standing
+# for d + 1 steps of its Horner evaluation (the table itself costs less)
 SUM_BUDGET = 10**6
 
 
@@ -145,9 +148,11 @@ def weil_admissible(table: CharTable, coeffs: Sequence[int]) -> Optional[bool]:
 def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
     """Sum of chi(f(x)) over all residues x, with the square-root bound check.
 
-    Accumulates a histogram of exact character exponents, so the complex
-    rounding enters once per exponent class rather than once per term.
-    Priced at p * (d + 1) Horner steps against SUM_BUDGET before it runs.
+    Tabulates f over 0..p-1 (`poly_table`) and histograms the discrete logs
+    of its nonzero values mod the order of chi with C iterators; each class
+    then maps to one exact character exponent, so the complex rounding
+    enters once per exponent class rather than once per term.  Priced at
+    p * (d + 1) against SUM_BUDGET before it runs.
     """
     p = table.modulus
     if f.modulus != p:
@@ -155,14 +160,11 @@ def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
     cs = f.coeffs
     d = f.degree
     _charge("a complete sum", p * (d + 1), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
-    hist: Counter = Counter()
-    for x in range(p):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * x + c) % p
-        e = table.exponent(acc)
-        if e is not None:
-            hist[e] += 1
+    nonzero = list(filter(None, poly_table(cs, 0, p, p)))
+    # itemgetter returns a bare entry for one key and refuses none
+    logs = itemgetter(*nonzero)(table.dlog) if len(nonzero) > 1 else [table.dlog[v] for v in nonzero]
+    r = table.order  # chi(g^a) depends on a mod r only
+    hist = {table.order_index * a % (p - 1): c for a, c in Counter(map(r.__rmod__, logs)).items()}
     total = 0j
     for e in sorted(hist):
         total += hist[e] * cmath.exp(2j * cmath.pi * e / (p - 1))

@@ -35,6 +35,7 @@ from .ring import (
     centered,
     int_poly_eval,
     inv_mod,
+    poly_table,
 )
 
 BRUTE_BUDGET = 1_500_000  # steps: values, divisor candidates, root-search evaluations, pairs
@@ -197,7 +198,7 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     if H < 1:
         raise DomainError(f"H must be >= 1, got {H}")
     _afford("count_symmetric_eq", H, H)
-    hist = Counter(int_poly_eval(cs, x) for x in range(1, H + 1))
+    hist = Counter(poly_table(cs, 1, H))
     total = _squares(_fold(hist, hist))
     r0 = _squares(hist)
     return SymmetricCount(total, r0, total - r0 * r0)
@@ -356,18 +357,21 @@ def _certify(
 
 
 def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET):
-    """Reference count with solutions, via the value histogram.
+    """Reference count with solutions, via the values that a shift hits.
 
     Priced in steps: the H values, refused before f is evaluated, then the
-    solutions, whose exact number the histogram gives before any is collected.
+    solutions, whose exact number the lists of x behind each hit value give
+    before any pair is built.
     """
     _charge("brute_congruence", H, "steps", budget, "budget")
     m = f.modulus
-    vals = [f(x) for x in range(1, H + 1)]
-    where: dict[int, list[int]] = {}
+    s = shift % m
+    vals = poly_table(f.coeffs, 1, H, m)
+    where: dict[int, list[int]] = {t: [] for t in set(vals).intersection((v + s) % m for v in vals)}
     for x, v in enumerate(vals, start=1):
-        where.setdefault(v, []).append(x)
-    hits = [where.get((v + shift) % m, ()) for v in vals]
+        if v in where:
+            where[v].append(x)
+    hits = [where.get((v + s) % m, ()) for v in vals]
     count = sum(map(len, hits))
     _charge("brute_congruence", H + count, "steps", budget, "budget")
     return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))

@@ -3,13 +3,20 @@
 Everything here runs on plain Python integers, so values like power sums up
 to H^d never lose precision.  The polynomial coefficient convention is
 ascending: coeffs[j] multiplies X**j, and the string form "0,0,1" is X**2.
+
+One primitive, `poly_table`, tabulates a polynomial over a run of
+consecutive integers (Horner on a short run, else forward differences summed
+in C); every table of f over an interval goes through it, and `eval_poly`
+and `int_poly_eval` stay for single points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from itertools import accumulate, repeat
+from operator import sub
+from typing import Iterator, Optional, Sequence, Union
 
 
 class DomainError(ValueError):
@@ -316,10 +323,46 @@ def check_interval_fits(f: PolyMod, interval: Interval) -> None:
         )
 
 
+def poly_table(coeffs: Sequence[int], start: int, n: int, m: Optional[int] = None) -> list[int]:
+    """[f(start), ..., f(start + n - 1)] for integer f (ascending coefficients),
+    each reduced into [0, m) unless m is None.
+
+    Size rule: Horner alone (reduced mod m at every step) when n <= 8 (d + 1),
+    where the difference table would cost more than it saves.  Otherwise
+    Horner gives f at the first d + 1 points; the leading column of their
+    difference table (each row reduced mod m) and d nested running sums in C
+    rebuild the rest exactly, since the d-th difference is constant, and one
+    pass of `% m` reduces them.  The cost stays within n (d + 1) Horner steps
+    plus d (d + 1) / 2 subtractions and n d additions in C; with m given, no
+    difference is taken of unreduced values, which grow with d log n.
+    """
+    d = len(coeffs) - 1
+    short = n <= 8 * (d + 1)
+    head = []
+    for x in range(start, start + (n if short else d + 1)):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * x + c if m is None else (acc * x + c) % m
+        head.append(acc)
+    if short:
+        return head
+    lead = []
+    row = head
+    while row:
+        lead.append(row[0])
+        row = list(map(sub, row[1:], row))
+        if m is not None:
+            row = list(map(m.__rmod__, row))
+    vals = repeat(lead[d], n - d)
+    for k in range(d - 1, -1, -1):
+        vals = accumulate(vals, initial=lead[k])
+    return list(vals) if m is None else list(map(m.__rmod__, vals))
+
+
 def poly_values(f: PolyMod, interval: Interval) -> list[int]:
     """[f(1), ..., f(H)] reduced mod m, with the H <= m domain check."""
     check_interval_fits(f, interval)
-    return [eval_poly(f, x) for x in interval]
+    return poly_table(f.coeffs, 1, interval.H, f.modulus)
 
 
 def int_poly_eval(coeffs: Sequence[int], x: int) -> int:

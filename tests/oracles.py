@@ -12,7 +12,9 @@ for the faster ones that replaced them: LLL that recomputes Gram-Schmidt
 after every row operation, the Fincke-Pohst search over Fraction
 Gram-Schmidt data with a Fraction body norm at every leaf, the shortest
 vector taken over every lattice point out to radius 1, and the Mahler basis
-built from a fresh saturation and a cofactor completion at every step.
+built from a fresh saturation and a cofactor completion at every step.  The
+complete character sum is kept as it was before the polynomial table: Horner
+at every residue, one exponent and one histogram increment per term.
 """
 from __future__ import annotations
 
@@ -175,6 +177,36 @@ def count_symmetric_quadruple(coeffs: Sequence[int], H: int) -> int:
                     if a + b == c + d:
                         total += 1
     return total
+
+
+def complete_sum_horner(table, f):
+    """complete_sum_poly by a Horner evaluation, an exponent lookup and a
+    Counter increment at each residue; the histogram is then summed in the
+    same sorted order, so the WeilRecord must match bit for bit."""
+    import cmath
+    from collections import Counter
+
+    from energia.charsum import WeilRecord, weil_admissible
+
+    p = table.modulus
+    cs = f.coeffs
+    d = f.degree
+    hist: Counter = Counter()
+    for x in range(p):
+        acc = 0
+        for c in reversed(cs):
+            acc = (acc * x + c) % p
+        e = table.exponent(acc)
+        if e is not None:
+            hist[e] += 1
+    total = 0j
+    for e in sorted(hist):
+        total += hist[e] * cmath.exp(2j * cmath.pi * e / (p - 1))
+    mag = abs(total)
+    bound = (d - 1) * math.sqrt(p)
+    adm = weil_admissible(table, cs)
+    within = None if adm is not True else bool(mag <= bound + 1e-6)
+    return WeilRecord(p, d, table.order, total, mag, bound, adm, within)
 
 
 # --- lattice helpers -------------------------------------------------------

@@ -23,6 +23,8 @@ from energia.charsum import (
 from energia import charsum
 from energia.ring import BudgetExceeded, DomainError, PolyMod, primes_up_to
 
+from oracles import complete_sum_horner
+
 
 def test_primitive_roots():
     assert smallest_primitive_root(5) == 2
@@ -77,6 +79,27 @@ def test_weil_frozen():
     # direct 7-term evaluation as an oracle
     direct = sum(char_eval(t, (x * x + 1) % 7) for x in range(7))
     assert abs(rec2.value - direct) < 1e-9
+
+
+def test_complete_sum_matches_horner_oracle():
+    rng = random.Random(13)
+    odd = [q for q in primes_up_to(3000) if q > 2]
+    cases = [(p, None, None) for p in [3, 5, 7, odd[-1]] + rng.sample(odd, 16)]
+    cases += [(3, (0, -1, 0, 1), 0), (5, (0, -1, 0, 0, 0, 1), 0)]  # x^p - x vanishes on all of Z/p
+    cases += [(5, (1, 0, 0, 0, -1), 1), (7, (1, 0, 0, 0, 0, 0, -1), 1)]  # 1 - x^(p-1) is 0 but at x = 0
+    for p, coeffs, value in cases:
+        ks = [(p - 1) // 2, 1] + ([(p - 1) // 3] if (p - 1) % 3 == 0 else [])  # orders 2, p - 1, 3
+        for k in ks:
+            t = CharTable.build(p, k)
+            if coeffs is None:
+                d = rng.randint(1, 6)
+                f = PolyMod(tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),), p)
+            else:
+                f = PolyMod(coeffs, p)
+            rec = complete_sum_poly(t, f)
+            assert rec == complete_sum_horner(t, f), (p, k, f.coeffs)
+            if value is not None:
+                assert rec.value == value
 
 
 def test_weil_admissibility_detects_squares():

@@ -371,6 +371,15 @@ def test_count_J_of_huge_degree_answers_at_once(capsys, argv, count):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_energy_of_huge_degree_answers_at_once(capsys):
+    # the H = 3 table of a degree-3000 f is three Horner passes, never a
+    # difference table of 3001 unreduced values
+    t0 = time.perf_counter()
+    payload, _ = _run_json(capsys, ["energy", "--modulus", "7", "--poly", ",".join(["1"] * 3001), "--H", "3"])
+    assert payload["T"] == 33
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_output_is_one_json_line(capsys):
     rc, out, _ = _run(capsys, ["eqcount", "eq", "--coeffs", "0,1", "--target", "1", "--H", "5"])
     assert rc == 0 and out == '{"count": 4, "solutions": [[2, 1], [3, 2], [4, 3], [5, 4]]}\n'

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import time
 
@@ -22,6 +23,7 @@ from energia.ring import (
     inv_mod,
     is_probable_prime,
     poly_from_string,
+    poly_table,
     poly_values,
     primes_up_to,
     to_fraction,
@@ -60,6 +62,35 @@ def test_eval_matches_naive(coeffs, m, x):
     f = PolyMod(tuple(coeffs), m)
     assert f(x) == poly_mod(coeffs, x, m)
     assert eval_poly(f, x) == f(x)
+
+
+def test_poly_table_matches_horner_on_both_sides_of_its_size_rule():
+    rng = random.Random(7)
+    for m in (2, 4, 6, 1009, 10**30, None):
+        for d in range(1, 13):
+            ns = {1, d, d + 1, 3 * d + 5, 8 * (d + 1), 8 * (d + 1) + 1, 40 * (d + 1)}
+            if m is not None and m <= 1009:
+                ns.add(m)
+            for start in (0, 1, -7):
+                for n in sorted(ns):
+                    cs = [rng.randint(-10**40, 10**40) for _ in range(d)] + [rng.randint(1, 10**40)]
+                    if m is None:
+                        want = [int_poly_eval(cs, x) for x in range(start, start + n)]
+                    else:
+                        if cs[-1] % m == 0:
+                            cs[-1] += 1
+                        f = PolyMod(tuple(cs), m)
+                        want = [eval_poly(f, x) for x in range(start, start + n)]
+                    assert poly_table(cs, start, n, m) == want, (m, d, start, n)
+
+
+def test_poly_values_of_huge_degree_answers_at_once():
+    f = PolyMod((1,) * 3001, 7)
+    t0 = time.perf_counter()
+    assert poly_values(f, Interval(3)) == [poly_mod(f.coeffs, x, 7) for x in (1, 2, 3)]
+    assert time.perf_counter() - t0 < 1.0
+    with pytest.raises(DomainError):
+        poly_values(f, Interval(8))
 
 
 def test_interval_iteration():
