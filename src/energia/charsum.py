@@ -262,8 +262,10 @@ class PrimeBilinearRecord:
 def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBilinearRecord:
     """Sums of |inner chi(f(q) + r)| over primes q <= Q, r <= R, both orders.
 
-    The two orders take 2 pi(Q) pi(R) character evaluations, refused past
-    SUM_BUDGET before f or any character is evaluated.
+    One pass over q evaluates f(q) and each chi(f(q) + r) once: row sums
+    give by_q, and column sums, run in the same q order, give by_r.  The
+    price, 2 pi(Q) pi(R) character evaluations, covers both orders and is
+    refused past SUM_BUDGET before f or any character is evaluated.
     """
     p = table.modulus
     if f.modulus != p:
@@ -275,19 +277,19 @@ def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBil
     if not qs or not rs:
         return PrimeBilinearRecord(0.0, 0.0, len(qs), len(rs), 0.0, 0.0, None)
     _charge("a prime bilinear sum", 2 * len(qs) * len(rs), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
-    fq = [f(q) for q in qs]
     by_q = 0.0
-    for v in fq:
+    cols = [0j] * len(rs)  # running sums over q, one per r
+    for q in qs:
+        v = f(q)
         inner = 0j
-        for r in rs:
-            inner += table.value(v + r)
+        for i, r in enumerate(rs):
+            x = table.value(v + r)
+            inner += x
+            cols[i] += x
         by_q += abs(inner)
     by_r = 0.0
-    for r in rs:
-        inner = 0j
-        for v in fq:
-            inner += table.value(v + r)
-        by_r += abs(inner)
+    for c in cols:
+        by_r += abs(c)
     pairs = len(qs) * len(rs)
     saving = None
     if by_q > 0:

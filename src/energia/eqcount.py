@@ -5,7 +5,7 @@ short interval into a genuine integer equation: a short vector in the lattice
 of coefficient relations pins the power differences down to a single integer
 value, and the integer equation is then solved exactly inside the box: each
 shift n - m is a divisor of the value up to H, and for each shift the roots
-of a quotient polynomial are isolated exactly by differentiation and integer
+of a difference polynomial are isolated exactly by differentiation and integer
 bisection, with nothing factored.  The count is always recomputed by brute
 force as well; the two totals must agree or the call fails loudly.  Both
 counts price their work in steps against BRUTE_BUDGET before doing it.
@@ -116,12 +116,15 @@ def _divisors_upto(n: int, bound: int) -> list[int]:
     return sorted({x for t in small for x in (t, n // t) if x <= bound})
 
 
-def _clean_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
+def _clean_coeffs(coeffs: Sequence[int], H: int) -> tuple[int, ...]:
+    """f without trailing zeros, checked nonconstant, for a box [1, H] with H >= 1."""
     cs = [int(c) for c in coeffs]
     while len(cs) > 1 and cs[-1] == 0:
         cs.pop()
     if len(cs) < 2:
         raise DomainError("need a nonconstant polynomial")
+    if H < 1:
+        raise DomainError(f"H must be >= 1, got {H}")
     return tuple(cs)
 
 
@@ -134,16 +137,13 @@ def count_eq(
     """#{(n, m) in [1,H]^2 : f(n) - f(m) = target} over the integers.
 
     A shift t = n - m != 0 has |t| < H and divides the target, and the
-    quotient (f(m+t) - f(m))/t is a polynomial with integer coefficients
-    whose roots m in the box are isolated exactly (`_roots_in`).  The shift
-    scan takes min(H, sqrt|target|) steps (H when the target is 0); it, the
-    root searches and the pairs collected are priced against BRUTE_BUDGET
-    before each runs.  With collect=True also returns the sorted tuple of
-    solution pairs.
+    roots m in the box of the difference polynomial f(m+t) - f(m) - target
+    are isolated exactly (`_roots_in`).  The shift scan takes min(H,
+    sqrt|target|) steps (H when the target is 0); it, the root searches and
+    the pairs collected are priced against BRUTE_BUDGET before each runs.
+    With collect=True also returns the sorted tuple of solution pairs.
     """
-    cs = _clean_coeffs(coeffs)
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
+    cs = _clean_coeffs(coeffs, H)
     d = len(cs) - 1
     steps = H - 1 if target == 0 else min(H - 1, math.isqrt(abs(target)))
     if collect and (target == 0 or d == 1):
@@ -154,15 +154,9 @@ def count_eq(
     sols = {(n, n) for n in range(1, H + 1)} if target == 0 and collect else set()
     extra = H if target == 0 and not collect else 0  # counted, not collected: diagonal and bulk
     for t in shifts:
-        shifted = poly_shift_coeffs(cs, t)
-        diff = [a - b for a, b in zip(shifted, cs)]
-        q = []
-        for x in diff:
-            if x % t:
-                raise DomainError("difference quotient not integral")  # unreachable
-            q.append(x // t)
+        eqn = [a - b for a, b in zip(poly_shift_coeffs(cs, t), cs)]
+        eqn[0] -= target
         lo, hi = max(1, 1 - t), min(H, H - t)
-        eqn = [q[0] - target // t] + q[1:]
         if all(c == 0 for c in eqn[1:]):
             if eqn[0] == 0 and hi >= lo:
                 if collect:
@@ -194,9 +188,7 @@ class SymmetricCount:
 
 def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     """Exact additive energy of (f(1)..f(H)) as an integer multiset."""
-    cs = _clean_coeffs(coeffs)
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
+    cs = _clean_coeffs(coeffs, H)
     _afford("count_symmetric_eq", H, H)
     hist = Counter(poly_table(cs, 1, H))
     total = _squares(_fold(hist, hist))
@@ -317,15 +309,15 @@ def _pow_diff(pair: tuple[int, int], d: int) -> tuple[int, ...]:
     return tuple(n**j - m**j for j in range(1, d + 1))
 
 
-def _certify(
-    family: Sequence[tuple[int, int]],
-    d: int,
-    H: int,
-    f_coeffs: Sequence[int],
-    modulus: int,
-    shift: int,
-) -> BVCertificate:
+def _solves(f: PolyMod, shift: int, pair: tuple[int, int]) -> bool:
+    """Whether f(n) = f(m) + shift (mod modulus) for the pair (n, m)."""
+    n, m = pair
+    return (int_poly_eval(f.coeffs, n) - int_poly_eval(f.coeffs, m) - shift) % f.modulus == 0
+
+
+def _certify(family: Sequence[tuple[int, int]], H: int, f: PolyMod, shift: int) -> BVCertificate:
     """Recount the family through a small vector in its own relation nullspace."""
+    d = f.degree
     anchor = min(family)
     base = _pow_diff(anchor, d)
     relatives = [
@@ -347,11 +339,7 @@ def _certify(
     if vector is None:
         raise DomainError("no nullspace vector pairs with the anchor")  # unreachable
     _, pairs = count_eq((0,) + tuple(vector), pairing, H, collect=True)
-    kept = [
-        p
-        for p in pairs
-        if (int_poly_eval(f_coeffs, p[0]) - int_poly_eval(f_coeffs, p[1]) - shift) % modulus == 0
-    ]
+    kept = [p for p in pairs if _solves(f, shift, p)]
     consistent = sorted(kept) == sorted(family)
     return BVCertificate(anchor, d0, vector, pairing, len(family), len(kept), consistent, record)
 
@@ -359,12 +347,17 @@ def _certify(
 def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET):
     """Reference count with solutions, via the values that a shift hits.
 
-    Priced in steps: the H values, refused before f is evaluated, then the
-    solutions, whose exact number the lists of x behind each hit value give
-    before any pair is built.
+    H lies in [1, m], so that the interval injects into Z/m.  Priced in
+    steps: the H values, refused before f is evaluated, then the solutions,
+    whose exact number the lists of x behind each hit value give before any
+    pair is built.
     """
-    _charge("brute_congruence", H, "steps", budget, "budget")
     m = f.modulus
+    if H < 1:
+        raise DomainError(f"H must be >= 1, got {H}")
+    if H > m:
+        raise DomainError("interval longer than the modulus")
+    _charge("brute_congruence", H, "steps", budget, "budget")
     s = shift % m
     vals = poly_table(f.coeffs, 1, H, m)
     where: dict[int, list[int]] = {t: [] for t in set(vals).intersection((v + s) % m for v in vals)}
@@ -398,12 +391,6 @@ def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) 
     if 2 * reach >= m:
         raise DomainError("relation too long to separate residues")  # unreachable in regime
 
-    f_int = tuple(int(c) for c in f.coeffs)
-
-    def cong_ok(pair: tuple[int, int]) -> bool:
-        n, mm = pair
-        return (int_poly_eval(f_int, n) - int_poly_eval(f_int, mm) - shift) % m == 0
-
     if w0 == 0:
         # ell * lam = 0 mod m: the relation carries no value information
         # (composite m only); fall back to the exact histogram count
@@ -413,9 +400,9 @@ def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) 
         return PipelineCertificate(monic, lam, b, ell, w0, reach, "empty", (), 0, None)
 
     _, pairs = count_eq((0,) + tuple(b), w0, H, collect=True)
-    family = [p for p in pairs if cong_ok(p)]
+    family = [p for p in pairs if _solves(f, shift, p)]
     filtered = len(pairs) - len(family)
-    bv = _certify(family, d, H, f_int, m, shift) if certify and family else None
+    bv = _certify(family, H, f, shift) if certify and family else None
     return PipelineCertificate(monic, lam, b, ell, w0, reach, "divisor", tuple(family), filtered, bv)
 
 
@@ -430,10 +417,6 @@ def count_congruence(f: PolyMod, shift: int, H: int, certify: bool = True) -> Eq
     d = f.degree
     if d < 2:
         raise DomainError("degree must be >= 2 for the lattice step")
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
-    if H > m:
-        raise DomainError("interval longer than the modulus")
     if shift % m == 0:
         raise DomainError("shift must be nonzero mod m")
     if math.gcd(f.coeffs[-1], m) != 1:
@@ -447,9 +430,8 @@ def count_congruence(f: PolyMod, shift: int, H: int, certify: bool = True) -> Eq
             declined=f"H = {H} exceeds {c} * m^(2/{d * (d + 1)}); lattice step not certified",
         )
     cert = _pipeline(f, shift, H, certify, brute_sols)
-    pipeline_count = len(cert.solutions)
-    if pipeline_count != brute_count or tuple(cert.solutions) != brute_sols:
+    if cert.solutions != brute_sols:
         raise DomainError(
-            f"pipeline count {pipeline_count} disagrees with brute force {brute_count}"
+            f"pipeline count {len(cert.solutions)} disagrees with brute force {brute_count}"
         )
-    return EqCountResult(pipeline_count, "pipeline", m, H, shift, d, certificate=cert)
+    return EqCountResult(brute_count, "pipeline", m, H, shift, d, certificate=cert)

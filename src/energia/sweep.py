@@ -16,20 +16,13 @@ import math
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
 from .bounds import fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
 from .energy import _afford, additive_stats
 from .ring import BudgetExceeded, DomainError, Interval, PolyMod, is_probable_prime, poly_values
-
-CSV_COLUMNS = [
-    "d", "m", "H", "seed", "coeffs", "T", "energy_plus", "sumset", "K",
-    "cs_ok", "sandwich_ok", "bound_energy", "bound_fourth",
-    "ratio_energy", "ratio_fourth", "c_fourth", "error",
-]
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -109,6 +102,9 @@ class CellResult:
     @property
     def hard_failure(self) -> bool:
         return self.error is not None or self.cs_ok is False or self.sandwich_ok is False
+
+
+CSV_COLUMNS = [f.name for f in fields(CellResult)]
 
 
 @dataclass(frozen=True)
@@ -210,34 +206,33 @@ def run_sweep(config: Optional[SweepConfig] = None, workers: int = 1) -> SweepRe
             by_h: dict[int, list[int]] = {}
             for c in group:
                 by_h.setdefault(c.H, []).append(c.T)
-            pts = [
-                (math.log(H), math.log(statistics.fmean(ts)))
+            pts = {
+                H: (math.log(H), math.log(statistics.fmean(ts)))
                 for H, ts in sorted(by_h.items())
                 if H > 1
-            ]
+            }
             cross = fourth_moment_crossover(d, m)
-            small = [
-                (math.log(H), math.log(statistics.fmean(ts)))
-                for H, ts in sorted(by_h.items())
-                if 1 < H <= cross
-            ]
-            slopes.append(SlopeRecord(d, m, _slope(pts), _slope(small), len(pts), len(small)))
+            small = [pt for H, pt in pts.items() if H <= cross]
+            slopes.append(SlopeRecord(d, m, _slope(list(pts.values())), _slope(small), len(pts), len(small)))
     failures = sum(1 for c in cells if c.hard_failure)
     max_c = max((c.c_fourth for c in cells if c.error is None), default=0.0)
     return SweepReport(cfg, tuple(cells), tuple(slopes), failures, max_c)
 
 
+def _csv_field(v: object) -> object:
+    """A tuple space-joined, a Fraction as p/q, a float to 6 digits, None empty."""
+    if isinstance(v, tuple):
+        return " ".join(map(str, v))
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    if isinstance(v, float):
+        return f"{v:.6g}"
+    return "" if v is None else v
+
+
 def write_csv(report: SweepReport, stream: TextIO) -> None:
+    """One row per cell, one column per CellResult field."""
     writer = csv.writer(stream)
     writer.writerow(CSV_COLUMNS)
     for c in report.cells:
-        writer.writerow([
-            c.d, c.m, c.H, c.seed,
-            " ".join(map(str, c.coeffs)),
-            c.T, c.energy_plus, c.sumset,
-            "" if c.K is None else f"{c.K.numerator}/{c.K.denominator}",
-            c.cs_ok, c.sandwich_ok,
-            f"{c.bound_energy:.6g}", f"{c.bound_fourth:.6g}",
-            f"{c.ratio_energy:.6g}", f"{c.ratio_fourth:.6g}", f"{c.c_fourth:.6g}",
-            c.error or "",
-        ])
+        writer.writerow([_csv_field(getattr(c, k)) for k in CSV_COLUMNS])

@@ -14,7 +14,9 @@ Gram-Schmidt data with a Fraction body norm at every leaf, the shortest
 vector taken over every lattice point out to radius 1, and the Mahler basis
 built from a fresh saturation and a cofactor completion at every step.  The
 complete character sum is kept as it was before the polynomial table: Horner
-at every residue, one exponent and one histogram increment per term.
+at every residue, one exponent and one histogram increment per term.  The
+prime bilinear sum is kept as it was before its one pass: each order in its
+own double loop, every character value computed twice.
 """
 from __future__ import annotations
 
@@ -207,6 +209,36 @@ def complete_sum_horner(table, f):
     adm = weil_admissible(table, cs)
     within = None if adm is not True else bool(mag <= bound + 1e-6)
     return WeilRecord(p, d, table.order, total, mag, bound, adm, within)
+
+
+def prime_bilinear_two_pass(table, f, Q, R):
+    """prime_bilinear_sum with each order summed in its own double loop over
+    primes found by trial division; the additions run in the same order, so
+    the PrimeBilinearRecord must match bit for bit."""
+    from energia.charsum import PrimeBilinearRecord
+
+    def primes(n):
+        return [q for q in range(2, n + 1) if all(q % k for k in range(2, math.isqrt(q) + 1))]
+
+    p = table.modulus
+    qs, rs = primes(Q), primes(R)
+    if not qs or not rs:
+        return PrimeBilinearRecord(0.0, 0.0, len(qs), len(rs), 0.0, 0.0, None)
+    fq = [f(q) for q in qs]
+    by_q = 0.0
+    for v in fq:
+        inner = 0j
+        for r in rs:
+            inner += table.value(v + r)
+        by_q += abs(inner)
+    by_r = 0.0
+    for r in rs:
+        inner = 0j
+        for v in fq:
+            inner += table.value(v + r)
+        by_r += abs(inner)
+    saving = math.log(Q * R / by_q) / math.log(p) if by_q > 0 else None
+    return PrimeBilinearRecord(by_q, by_r, len(qs), len(rs), by_q / (Q * R), by_q / (len(qs) * len(rs)), saving)
 
 
 # --- lattice helpers -------------------------------------------------------

@@ -23,7 +23,7 @@ from energia.charsum import (
 from energia import charsum
 from energia.ring import BudgetExceeded, DomainError, PolyMod, primes_up_to
 
-from oracles import complete_sum_horner
+from oracles import complete_sum_horner, prime_bilinear_two_pass
 
 
 def test_primitive_roots():
@@ -162,6 +162,24 @@ def test_prime_bilinear():
     assert empty.by_q == empty.by_r == 0.0 and empty.saving is None
     with pytest.raises(DomainError):
         prime_bilinear_sum(t, f, 101, 10)
+
+
+def test_prime_bilinear_matches_two_pass_oracle():
+    # the one pass adds every row and every column in the oracle's order, so
+    # whole records, floats included, must be equal
+    rng = random.Random(14)
+    ps = [11, 13, 101, 1009, 9973] + rng.sample([q for q in primes_up_to(10**4) if q > 13], 6)
+    for p in ps:
+        ks = [(p - 1) // 2, 1, rng.randrange(1, p - 1)]  # orders 2, p - 1 and a random one
+        for k in ks:
+            t = CharTable.build(p, k)
+            d = rng.randint(1, 4)
+            f = PolyMod(tuple(rng.randrange(p) for _ in range(d)) + (rng.randrange(1, p),), p)
+            top = min(p - 1, 300)
+            sizes = [(1, top), (top, 1), (2, 2), (rng.randint(1, top), rng.randint(1, top)), (top, top)]
+            for Q, R in sizes:
+                rec = prime_bilinear_sum(t, f, Q, R)
+                assert rec == prime_bilinear_two_pass(t, f, Q, R), (p, k, f.coeffs, Q, R)
 
 
 def test_energy_driven_bound():

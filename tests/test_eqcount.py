@@ -131,6 +131,14 @@ def test_count_eq_divisor_search_matches_pair_oracle():
         ((2, -3, 0, -1), -720720, 400),
         ((2, -3, 0, -1), 13608540, 400),  # f(60) - f(240)
         ((0, 12, -7, 1), 0, 60),
+        # degrees 5 and 6 with large coefficients: the difference polynomial
+        # f(m+t) - f(m) - target is not divided by t before its roots are found
+        ((7, -10**6, 3 * 10**5, 0, -12345, 999), 131540225250000, 200),  # f(170) - f(20)
+        # (x - 50)^2 (x - 120)^2 (x - 180)^2: eight pairs off the diagonal
+        ((1166400000000, -79056000000, 2095560000, -27780000, 195700, -700, 1), 0, 200),
+        # f(60) - f(110) = f(140) - f(110)
+        ((1166400000000, -79056000000, 2095560000, -27780000, 195700, -700, 1), 3420000000, 200),
+        ((-4, 2, -10**8, 5, 10**4, -7, 1), -54735645186211, 200),  # f(3) - f(190)
     ]
     for coeffs, target, H in cases:
         want, pairs = oracles.count_eq_pairs(coeffs, target, H)
@@ -253,6 +261,22 @@ def test_brute_congruence_prices_values_then_solutions():
     assert want == 129 and brute_congruence(f, 7, 30, budget=30 + want)[0] == want
     with pytest.raises(BudgetExceeded, match=f"{30 + want} steps"):
         brute_congruence(f, 7, 30, budget=30 + want - 1)
+
+
+def test_brute_congruence_refuses_an_interval_outside_one_to_m():
+    # H < 1 is empty and H > m does not inject into Z/m; both are refused
+    # before any step is charged, so even a zero budget sees the DomainError
+    f = PolyMod((0, 0, 1), 101)
+    for H in (-5, 0):
+        with pytest.raises(DomainError, match=f"H must be >= 1, got {H}"):
+            brute_congruence(f, 1, H)
+        with pytest.raises(DomainError, match="H must be >= 1"):
+            brute_congruence(f, 1, H, budget=0)
+    with pytest.raises(DomainError, match="interval longer than the modulus"):
+        brute_congruence(f, 1, 500)
+    with pytest.raises(DomainError, match="interval longer than the modulus"):
+        brute_congruence(f, 1, 500, budget=0)
+    assert brute_congruence(f, 1, 101)[0] == oracles.count_congruence_pairs((0, 0, 1), 101, 1, 101)[0]
 
 
 def _prime_at_least(n):

@@ -13,6 +13,7 @@ from energia.sweep import (
     CSV_COLUMNS,
     CellResult,
     SweepConfig,
+    SweepReport,
     parse_config,
     run_cell,
     run_sweep,
@@ -170,6 +171,22 @@ def test_write_csv():
     assert first[0] == "2" and first[1] == "7"
     assert "/" in first[8]  # K rendered as an exact fraction
     assert first[-1] == ""  # no error
+
+
+def test_write_csv_bytes_on_the_default_grid_and_an_error_row():
+    # the CSV's columns come from CellResult; any change to its bytes shows here
+    buf = io.StringIO()
+    write_csv(run_sweep(), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+        "3b6048cef5655fa20e21cc446b1e3124e3ff855d79219a202ae2c5af1460420d"
+    )
+    buf = io.StringIO()
+    write_csv(SweepReport(SMALL, (CellResult(2, 7, 3, 0, error="boom"),), (), 1, 0.0), buf)
+    assert buf.getvalue() == (
+        "d,m,H,seed,coeffs,T,energy_plus,sumset,K,cs_ok,sandwich_ok,bound_energy,"
+        "bound_fourth,ratio_energy,ratio_fourth,c_fourth,error\r\n"
+        "2,7,3,0,,0,0,0,,,,0,0,0,0,0,boom\r\n"
+    )
 
 
 def test_refused_inputs_refuse_the_sweep():
