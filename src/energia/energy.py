@@ -4,21 +4,21 @@ Every count here is read off one primitive, `_fold`: the weighted additive
 convolution {x + y: sum a[x] * b[y]} of two integer histograms, over Z/m or
 over Z.  A representation function is the fold of the value histogram with
 itself (or with its negation), an energy is the sum of its squared fibres
-and a sumset size is its number of fibres.  The power-sum counts in
-`vinogradov` and the integer energy in `eqcount` use the same fold.
-`additive_stats` reads T, the image-set energy and the sumset off one fold
-of the image set plus a small correction fold of the collisions.
+and a sumset size is its number of fibres.  A self-fold (`_fold_self`)
+takes each unordered pair once, and `_energy` reads the energy off that
+half fold and the diagonal.  `vinogradov` and `eqcount` use the same folds.
+`additive_stats` reads T, the image-set energy and the sumset off one
+self-fold of the image set plus a small correction fold of the collisions.
 
 The fold has two backends, and the sizes pick one (`_dense`).  The sparse
 one merges a row {x + y: a[x] * b[y]} at a time into a Counter, at C
-speed.  The dense one, used mod m
-once the pairs outnumber c m with c = max(1, sqrt(m) / 40), a crossover
-measured for m from 31 to 1e5, is Kronecker substitution:
+speed.  The dense one, used mod m once the pairs (for a self-fold, the
+unordered ones) outnumber `_crossover(m)`, is Kronecker substitution:
 each histogram becomes one integer whose w-byte slot x holds the count at x,
-with w wide enough for the whole mass sum(a) * sum(b); one big-integer
+with w wide enough for min(sum(a) max(b), max(a) sum(b)); one big-integer
 product is the linear convolution, and adding its high half to its low half
-wraps it mod m.  No slot can carry into the next, since each holds at most
-the mass.
+wraps it mod m.  No slot can carry into the next, since every fibre of the
+fold, wrapped or not, is at most that bound.
 
 For a prime p the multiplicative energy is an additive one: a -> log_g a
 maps the nonzero residues onto Z/(p - 1), so the nonzero products ab = cd
@@ -102,7 +102,9 @@ def _crossover(m: int) -> int:
     """The pair count at which one dense fold mod m costs as much as the sparse one.
 
     Measured: about m pairs up to m ~ 3000, then m^1.5 / 40, as the
-    big-integer product (Karatsuba) outgrows its linear packing.
+    big-integer product (Karatsuba) outgrows its linear packing.  A self-fold
+    of n keys (n(n+1)/2 sparse pairs) breaks even at 0.4-0.8 of this count
+    for m from 1e3 to 1e4 and 1-1.5 of it from 3e4 to 1e5 (1- and 2-byte slots).
     """
     return m * max(1, math.isqrt(m) // 40)
 
@@ -154,8 +156,8 @@ def _pack(h: Mapping[int, int], m: int, w: int, wide: Optional[int]) -> int:
 
 def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
     """`_fold` mod m by one big-integer product (Kronecker substitution)."""
-    mass = sum(a.values()) * sum(b.values())
-    w = (mass.bit_length() + 7) // 8  # every wrapped slot is at most the mass
+    top = min(sum(a.values()) * max(b.values()), max(a.values()) * sum(b.values()))
+    w = (top.bit_length() + 7) // 8  # every fibre, wrapped or not, is at most top
     wide = next((k for k in _SLOTS if k >= w), None)
     pa = _pack(a, m, w, wide)
     prod = pa * pa if a is b else pa * _pack(b, m, w, wide)
@@ -168,42 +170,72 @@ def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
     return Counter(dict(zip(compress(range(m), counts), filter(None, counts))))
 
 
+def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
+    """The sum of the rows (x, cx, ys, cys), each {x + y: cx * cy} mod m or over Z.
+
+    A row at a time, at C speed: Counter.update when every weight is 1, else
+    one dict.update of (key, old + weight) pairs, exact since the keys of a
+    row are distinct (distinct y, and mod m in [0, m), so x + y mod m too).
+    """
+    out: Counter[int] = Counter()
+    for x, cx, ys, cys in rows:
+        keys = [x + y for y in ys] if m is None else [(x + y) % m for y in ys]
+        if unit and cx == 1:
+            out.update(keys)
+        else:
+            weights = cys if cx == 1 else map(mul, cys, repeat(cx))
+            dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
+    return out
+
+
 def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -> Counter:
     """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None.
 
     Mod m the keys must lie in [0, m) and the counts be positive.  The sparse
-    backend takes one x of the shorter histogram at a time and merges its
-    whole row {x + y: a[x] * b[y]} into the output at C speed: Counter.update
-    when every weight is 1, else one dict.update of (key, old + weight)
-    pairs.  That merge is exact because the keys of one row are distinct:
-    the y are distinct, and mod m they lie in [0, m), so x + y mod m is too.
+    backend merges one row per x of the shorter histogram (`_merge`).
     """
     if m is not None and _dense(len(a) * len(b), m):
         return _fold_dense(a, b, m)
     if len(a) > len(b):
         a, b = b, a  # the longer histogram runs in the inner loop
-    unit = all(c == 1 for c in b.values())
-    out: Counter[int] = Counter()
-    for x, cx in a.items():
-        keys = [x + y for y in b] if m is None else [(x + y) % m for y in b]
-        if unit and cx == 1:
-            out.update(keys)
-        else:
-            weights = b.values() if cx == 1 else map(mul, b.values(), repeat(cx))
-            dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
-    return out
+    return _merge(((x, cx, b, b.values()) for x, cx in a.items()), m, all(c == 1 for c in b.values()))
+
+
+def _fold_self(h: Mapping[int, int], m: Optional[int] = None) -> tuple[Counter, Counter, int]:
+    """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; n(n+1)/2 pairs pick the backend.
+
+    The sparse backend merges each unordered pair x <= y once, in sorted key
+    order, into V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
+    (2x = 2x' can collide mod an even m), S = 2V - D.  S[k] >= V[k], so S
+    and V have the same support.  The dense backend returns S itself.
+    """
+    n = len(h)
+    if m is not None and _dense(n * (n + 1) // 2, m):
+        return _fold_dense(h, h, m), Counter(), 1
+    ks = sorted(h)
+    cs = [h[x] for x in ks]
+    v = _merge(((x, cs[i], ks[i:], cs[i:]) for i, x in enumerate(ks)), m, all(c == 1 for c in cs))
+    d: Counter[int] = Counter()
+    for x, c in zip(ks, cs):
+        d[2 * x if m is None else 2 * x % m] += c * c
+    return v, d, 2
 
 
 def _squares(counts: Mapping[int, int]) -> int:
     """Sum of squared fibres of a histogram: the energy of the fold it came from."""
-    return sum(c * c for c in counts.values())
+    return sum(map(mul, counts.values(), counts.values()))
+
+
+def _energy(v: Mapping[int, int], d: Mapping[int, int], c: int) -> int:
+    """Sum of S[k]^2 for S = c V - D: c^2 sum V^2 - sum_k D[k] (2c V[k] - D[k])."""
+    return c * c * _squares(v) - sum(dk * (2 * c * v[k] - dk) for k, dk in d.items())
 
 
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
     pts = Counter({p % modulus for p in points})
     _afford("set_energy_plus", len(pts), len(pts), modulus)
-    return _squares(_fold(pts, pts, modulus))
+    return _energy(*_fold_self(pts, modulus))
 
 
 def set_energy_times(points: Iterable[int], modulus: int) -> int:
@@ -213,20 +245,16 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
     of looping over products (see the module docstring).
     """
     pts = sorted({p % modulus for p in points})
-    if (
-        _dense(len(pts) ** 2, modulus)
-        and modulus <= TABLE_BUDGET
-        and is_probable_prime(modulus)
-    ):
+    if _dense(len(pts) ** 2, modulus) and modulus <= TABLE_BUDGET and is_probable_prime(modulus):
         dlog = _dlog_table(modulus)[1]
         logs = Counter(dlog[a] for a in pts if a)
         zero = (2 * len(pts) - 1) ** 2 if pts[0] == 0 else 0
-        return _squares(_fold(logs, logs, modulus - 1)) + zero
+        return _energy(*_fold_self(logs, modulus - 1)) + zero
     _afford("set_energy_times", len(pts), len(pts))  # the product loop
-    counts: Counter[int] = Counter()
-    for a in pts:
-        counts.update((a * b) % modulus for b in pts)
-    return _squares(counts)
+    half: Counter[int] = Counter()  # the products ab over unordered pairs a <= b
+    for i, a in enumerate(pts):
+        half.update([(a * b) % modulus for b in pts[i:]])
+    return _energy(half, Counter(a * a % modulus for a in pts), 2)
 
 
 def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFunction:
@@ -250,31 +278,32 @@ def energy_T(f: PolyMod, interval: Interval) -> int:
     """T = #{(x,y,z,w) in I^4 : f(x)+f(y) = f(z)+f(w) mod m} = sum_lambda R(lambda)^2."""
     _afford("energy_T", interval.H, interval.H, f.modulus)
     hist = Counter(poly_values(f, interval))
-    return _squares(_fold(hist, hist, f.modulus))
+    return _energy(*_fold_self(hist, f.modulus))
 
 
 def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     """(T, energy_plus, sumset_size) of the values f(1), ..., f(H) mod m.
 
-    One fold of the image set A does all three.  S = 1_A * 1_A gives the
+    One self-fold of the image set A does all three.  S = 1_A * 1_A gives the
     set energy (its squared fibres) and the sumset (its support).  The value
-    histogram h differs from 1_A by the collision excess D = h - 1_A, so
-    h * h = S + C with C = D * (h + 1_A), and
-    T = sum (S + C)^2 = E+ + sum_k C[k] (2 S[k] + C[k]).
-    C costs |D| |A| pairs, and none at all when no two values collide.
+    histogram h differs from 1_A by the collision excess X = h - 1_A, so
+    h * h = S + C with C = X * (h + 1_A), and T = sum (S + C)^2 =
+    E+ + 2 sum_k C[k] S[k] + sum_k C[k]^2, S = c V - D read at the keys of C.
+    C costs |X| |A| pairs, and none at all when no two values collide.
     """
     hist = Counter(values)
     ones = dict.fromkeys(hist, 1)
     _afford("additive_stats", len(ones), len(ones), modulus)
-    s = _fold(ones, ones, modulus)
-    ep = _squares(s)
-    excess = {v: c - 1 for v, c in hist.items() if c > 1}
-    t = ep
-    if excess:
-        _afford("additive_stats", len(excess), len(hist), modulus)
-        c = _fold(excess, {v: n + 1 for v, n in hist.items()}, modulus)
-        t += sum(ck * (2 * s[k] + ck) for k, ck in c.items())
-    return t, ep, len(s)
+    v, d, c = _fold_self(ones, modulus)
+    ep = _energy(v, d, c)
+    excess = {x: n - 1 for x, n in hist.items() if n > 1}
+    if not excess:
+        return ep, ep, len(v)
+    _afford("additive_stats", len(excess), len(hist), modulus)
+    corr = _fold(excess, {x: n + 1 for x, n in hist.items()}, modulus)
+    cv = sum(map(mul, corr.values(), map(v.__getitem__, corr)))  # C lives on A + A, the support of V
+    cd = sum(map(mul, d.values(), map(corr.get, d, repeat(0))))
+    return ep + 2 * (c * cv - cd) + _squares(corr), ep, len(v)
 
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:
@@ -303,7 +332,7 @@ def sumset_size(f: PolyMod, interval: Interval) -> int:
     """#(f(I) + f(I)) inside Z/m."""
     _afford("sumset_size", interval.H, interval.H, f.modulus)
     pts = Counter(image_set(f, interval))
-    return len(_fold(pts, pts, f.modulus))
+    return len(_fold_self(pts, f.modulus)[0])
 
 
 def energy_report(f: PolyMod, interval: Interval) -> EnergyReport:

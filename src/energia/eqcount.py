@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .energy import _afford, _fold, _squares
+from .energy import _afford, _energy, _fold_self, _squares
 from .lattice import (
     NullspaceRecord,
     WeightedBox,
@@ -191,7 +191,7 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     cs = _clean_coeffs(coeffs, H)
     _afford("count_symmetric_eq", H, H)
     hist = Counter(poly_table(cs, 1, H))
-    total = _squares(_fold(hist, hist))
+    total = _energy(*_fold_self(hist))
     r0 = _squares(hist)
     return SymmetricCount(total, r0, total - r0 * r0)
 

@@ -182,6 +182,37 @@ def test_prime_bilinear_matches_two_pass_oracle():
                 assert rec == prime_bilinear_two_pass(t, f, Q, R), (p, k, f.coeffs, Q, R)
 
 
+def _bilinear_per_term(table, inst):
+    """W summed term by term with table.value, in bilinear_W's order."""
+    total = 0j
+    for s, ca in zip(inst.residues, inst.alpha):
+        if ca == 0:
+            continue
+        inner = 0j
+        for x, cb in enumerate(inst.beta, start=1):
+            if cb == 0:
+                continue
+            inner += cb * table.value(s + x)
+        total += ca * inner
+    return total
+
+
+def test_bilinear_matches_per_term_values():
+    # each exponent's value is computed once and reused: the floats stay bit-identical
+    rng = random.Random(15)
+    for p in (11, 13, 101, 1009):
+        for k in ((p - 1) // 2, 1, rng.randrange(1, p - 1)):
+            t = CharTable.build(p, k)
+            rs = tuple(rng.sample(range(p), rng.randint(1, min(p, 40))))
+            H = rng.randint(1, 2 * p)
+            alpha = tuple(rng.choice((0, 1, -1, 0.5j, cmath.exp(1j * rng.random()))) for _ in rs)
+            beta = tuple(rng.choice((0, 1, 1j, cmath.exp(2j * rng.random()))) for _ in range(H))
+            inst = BilinearInstance(rs, alpha, H, beta)
+            rec = bilinear_W(t, inst)
+            assert rec.value == _bilinear_per_term(t, inst), (p, k)
+            assert rec.magnitude == abs(rec.value)
+
+
 def test_energy_driven_bound():
     rec = bilinear_energy_bound(100, 100, 10**4, 10**4, 2)
     expect = 10**4 * 11.01 ** (1 / 8) + 1000

@@ -363,3 +363,61 @@ def test_full_interval_at_100003_stays_within_budget():
     # H = m: 50002 squares, folded dense, cost 7e5 pair steps
     f = PolyMod((0, 0, 1), 100003)
     assert energy_plus(f, Interval(100003)) == 62508750400006
+
+
+# --- the symmetric self-fold: half fold V, diagonal D, S = c V - D ----------
+
+
+def _self_fold_views(h, m, dense=None):
+    """(energy, support, S) of `_fold_self`, on the backend `dense` forces, if any."""
+    if dense is None:
+        v, d, c = energy._fold_self(h, m)
+    else:
+        with mock.patch.object(energy, "_dense", lambda pairs, m: dense):
+            v, d, c = energy._fold_self(h, m)
+    assert set(d) <= set(v)
+    return energy._energy(v, d, c), len(v), {k: c * v[k] - d[k] for k in v}
+
+
+def _full_fold_views(h, m):
+    full = energy._fold(h, h, m)
+    return energy._squares(full), len(full), dict(full)
+
+
+def _first_dense_size(m):
+    n = 1
+    while not energy._dense(n * (n + 1) // 2, m):
+        n += 1
+    return n
+
+
+@pytest.mark.parametrize("m", [None, 2, 4, 6, 1000, 1009, 10007])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_self_fold_matches_full_fold(m, weighted):
+    # even m puts 2x and 2x + m on one diagonal key; the sizes straddle the
+    # self-fold's crossover, and each case also runs on both backends
+    rng = random.Random(f"self-fold:{m}:{weighted}")
+    if m is None:
+        keys, sizes = range(-500, 500), [1, 2, 3, 17, 60]
+    else:
+        n0 = _first_dense_size(m)
+        keys, sizes = range(m), sorted({min(n, m) for n in (1, 2, 3, n0 // 2, n0 - 1, n0, n0 + 1, 2 * n0)})
+    for n in sizes:
+        h = Counter({k: rng.choice((1, 2, 3, 2**20)) if weighted else 1 for k in rng.sample(keys, n)})
+        expected = _full_fold_views(h, m)
+        for dense in (None, False) if m is None else (None, False, True):
+            assert _self_fold_views(h, m, dense) == expected, (m, n, dense)
+
+
+@pytest.mark.parametrize("h, m", [
+    ({0: 12, 1: 1, 2: 1, 3: 1}, 7),  # S[0] = 144: one-byte slots, S + D past 2^8
+    ({0: 255, 3: 1}, 6),
+    ({0: 1, 3: 1}, 6),  # 2 * 0 = 2 * 3 mod 6: one diagonal key of weight 2
+    ({x: 1 for x in range(16)}, 16),
+])
+def test_self_fold_fixed_cases(h, m):
+    h = Counter(h)
+    expected = _full_fold_views(h, m)
+    assert expected[2] == dict(_pair_loop(h, h, m))
+    for dense in (None, False, True):
+        assert _self_fold_views(h, m, dense) == expected
