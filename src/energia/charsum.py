@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .ring import (
     DomainError,
@@ -99,12 +99,6 @@ class CharTable:
         if e is None:
             return 0j
         return cmath.exp(2j * cmath.pi * e / (self.modulus - 1))
-
-
-def _memo_values(table: CharTable) -> Callable[[int], complex]:
-    """`table.value`, computing each exponent's value once: the same floats."""
-    memo: dict[Optional[int], complex] = {}
-    return lambda x: memo[e] if (e := table.exponent(x)) in memo else memo.setdefault(e, table.value(x))
 
 
 def char_eval(table: CharTable, x: int) -> complex:
@@ -233,7 +227,6 @@ def bilinear_W(table: CharTable, inst: BilinearInstance) -> BilinearRecord:
     """W = sum over s in the set, x in [1,H] of alpha_s beta_x chi(s + x);
     refused past SUM_BUDGET character evaluations."""
     _charge("a bilinear sum", len(inst.residues) * inst.H, "character evaluations", SUM_BUDGET, "SUM_BUDGET")
-    value = _memo_values(table)
     total = 0j
     for s, ca in zip(inst.residues, inst.alpha):
         if ca == 0:
@@ -242,7 +235,7 @@ def bilinear_W(table: CharTable, inst: BilinearInstance) -> BilinearRecord:
         for x, cb in enumerate(inst.beta, start=1):
             if cb == 0:
                 continue
-            inner += cb * value(s + x)
+            inner += cb * table.value(s + x)
         total += ca * inner
     trivial = sum(abs(c) for c in inst.alpha) * sum(abs(c) for c in inst.beta)
     return BilinearRecord(total, abs(total), len(inst.residues), inst.H, trivial)
@@ -284,14 +277,19 @@ def prime_bilinear_sum(table: CharTable, f: PolyMod, Q: int, R: int) -> PrimeBil
     if not qs or not rs:
         return PrimeBilinearRecord(0.0, 0.0, len(qs), len(rs), 0.0, 0.0, None)
     _charge("a prime bilinear sum", 2 * len(qs) * len(rs), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
-    value = _memo_values(table)
+    # chi takes at most `order` values: when a row has as many terms, compute
+    # each value once (g^j has exponent k j) and look the terms up by exponent
+    vals = None
+    if table.order <= len(rs):
+        xs = [0, *(pow(table.generator, j, p) for j in range(table.order))]
+        vals = {table.exponent(x): table.value(x) for x in xs}
     by_q = 0.0
     cols = [0j] * len(rs)  # running sums over q, one per r
     for q in qs:
         v = f(q)
         inner = 0j
         for i, r in enumerate(rs):
-            x = value(v + r)
+            x = vals[table.exponent(v + r)] if vals else table.value(v + r)
             inner += x
             cols[i] += x
         by_q += abs(inner)

@@ -204,16 +204,16 @@ def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -
 def _fold_self(h: Mapping[int, int], m: Optional[int] = None) -> tuple[Counter, Counter, int]:
     """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; n(n+1)/2 pairs pick the backend.
 
-    The sparse backend merges each unordered pair x <= y once, in sorted key
-    order, into V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
+    The sparse backend merges each unordered pair {x, y} of keys once into
+    V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
     (2x = 2x' can collide mod an even m), S = 2V - D.  S[k] >= V[k], so S
     and V have the same support.  The dense backend returns S itself.
     """
     n = len(h)
     if m is not None and _dense(n * (n + 1) // 2, m):
         return _fold_dense(h, h, m), Counter(), 1
-    ks = sorted(h)
-    cs = [h[x] for x in ks]
+    ks = list(h)
+    cs = list(h.values())
     v = _merge(((x, cs[i], ks[i:], cs[i:]) for i, x in enumerate(ks)), m, all(c == 1 for c in cs))
     d: Counter[int] = Counter()
     for x, c in zip(ks, cs):
@@ -221,14 +221,14 @@ def _fold_self(h: Mapping[int, int], m: Optional[int] = None) -> tuple[Counter, 
     return v, d, 2
 
 
-def _squares(counts: Mapping[int, int]) -> int:
-    """Sum of squared fibres of a histogram: the energy of the fold it came from."""
-    return sum(map(mul, counts.values(), counts.values()))
-
-
 def _energy(v: Mapping[int, int], d: Mapping[int, int], c: int) -> int:
     """Sum of S[k]^2 for S = c V - D: c^2 sum V^2 - sum_k D[k] (2c V[k] - D[k])."""
     return c * c * _squares(v) - sum(dk * (2 * c * v[k] - dk) for k, dk in d.items())
+
+
+def _squares(counts: Mapping[int, int]) -> int:
+    """Sum of squared fibres of a histogram: the energy of the fold it came from."""
+    return sum(c * c for c in counts.values())
 
 
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
@@ -245,7 +245,11 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
     of looping over products (see the module docstring).
     """
     pts = sorted({p % modulus for p in points})
-    if _dense(len(pts) ** 2, modulus) and modulus <= TABLE_BUDGET and is_probable_prime(modulus):
+    if (
+        _dense(len(pts) ** 2, modulus)
+        and modulus <= TABLE_BUDGET
+        and is_probable_prime(modulus)
+    ):
         dlog = _dlog_table(modulus)[1]
         logs = Counter(dlog[a] for a in pts if a)
         zero = (2 * len(pts) - 1) ** 2 if pts[0] == 0 else 0
@@ -297,13 +301,15 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     v, d, c = _fold_self(ones, modulus)
     ep = _energy(v, d, c)
     excess = {x: n - 1 for x, n in hist.items() if n > 1}
-    if not excess:
-        return ep, ep, len(v)
-    _afford("additive_stats", len(excess), len(hist), modulus)
-    corr = _fold(excess, {x: n + 1 for x, n in hist.items()}, modulus)
-    cv = sum(map(mul, corr.values(), map(v.__getitem__, corr)))  # C lives on A + A, the support of V
-    cd = sum(map(mul, d.values(), map(corr.get, d, repeat(0))))
-    return ep + 2 * (c * cv - cd) + _squares(corr), ep, len(v)
+    t = ep
+    if excess:
+        _afford("additive_stats", len(excess), len(hist), modulus)
+        corr = _fold(excess, {x: n + 1 for x, n in hist.items()}, modulus)
+        # sum_k C[k] (2 S[k] + C[k]) by C iterators; C lives on A + A = supp V
+        cv = sum(map(mul, corr.values(), map(v.__getitem__, corr)))
+        cd = sum(map(mul, d.values(), map(corr.get, d, repeat(0))))
+        t += 2 * (c * cv - cd) + _squares(corr)
+    return t, ep, len(v)
 
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:

@@ -198,7 +198,7 @@ def _bilinear_per_term(table, inst):
 
 
 def test_bilinear_matches_per_term_values():
-    # each exponent's value is computed once and reused: the floats stay bit-identical
+    # W must equal the per-term table.value sum exactly, floats included
     rng = random.Random(15)
     for p in (11, 13, 101, 1009):
         for k in ((p - 1) // 2, 1, rng.randrange(1, p - 1)):
