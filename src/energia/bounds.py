@@ -7,8 +7,10 @@ large for a float (m beyond about 1.8e308) raise DomainError.
 from __future__ import annotations
 
 import functools
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from .ring import DomainError
 
@@ -90,3 +92,11 @@ def hybrid_count_bound(d: int, m: int, H: int, Z: int) -> float:
     if m < 2 or H < 1 or Z < 1:
         raise DomainError("need positive H, Z and m >= 2")
     return H**2 * Z**2 / m ** (2 / (d * (d + 1))) + Z * (H + Z)
+
+
+def _slope(points: Sequence[tuple[float, float]]) -> Optional[float]:
+    """The least-squares slope of (x, y) points, None unless two x differ."""
+    xs = [p[0] for p in points]
+    if len(points) < 2 or len(set(xs)) < 2:
+        return None
+    return statistics.linear_regression(xs, [p[1] for p in points]).slope

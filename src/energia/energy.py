@@ -10,15 +10,16 @@ half fold and the diagonal.  `vinogradov` and `eqcount` use the same folds.
 `additive_stats` reads T, the image-set energy and the sumset off one
 self-fold of the image set plus a small correction fold of the collisions.
 
-The fold has two backends, and the sizes pick one (`_dense`).  The sparse
-one merges a row {x + y: a[x] * b[y]} at a time into a Counter, at C
-speed.  The dense one, used mod m once the pairs (for a self-fold, the
-unordered ones) outnumber `_crossover(m)`, is Kronecker substitution:
-each histogram becomes one integer whose w-byte slot x holds the count at x,
-with w wide enough for min(sum(a) max(b), max(a) sum(b)); one big-integer
-product is the linear convolution, and adding its high half to its low half
-wraps it mod m.  No slot can carry into the next, since every fibre of the
-fold, wrapped or not, is at most that bound.
+The fold has two backends, and one plan, `_afford`, picks one and charges
+it before any work; `_fold` and `_fold_self` run it on the pairs they visit.
+The sparse backend merges a row {x + y: a[x] * b[y]} at a time into a
+Counter, at C speed.  The dense one, used mod m once the pairs (for a
+self-fold, the unordered ones) outnumber `_crossover(m)`, is Kronecker
+substitution: each histogram becomes one integer whose w-byte slot x
+holds the count at x, with w wide enough for min(sum(a) max(b), max(a)
+sum(b)); one big-integer product is the linear convolution, and adding its
+high half to its low half wraps it mod m.  No slot can carry into the next,
+since every fibre of the fold, wrapped or not, is at most that bound.
 
 For a prime p the multiplicative energy is an additive one: a -> log_g a
 maps the nonzero residues onto Z/(p - 1), so the nonzero products ab = cd
@@ -27,10 +28,9 @@ adds the (2|A| - 1)^2 quadruples with ab = cd = 0.  `set_energy_times`
 folds the logs when that beats its product loop, which composite moduli
 always keep.
 
-Every fold an entry point starts is priced first (`_afford`), in sparse pair
-steps, a dense fold at the pair count it breaks even with, and refused by
-`ring._charge` past FOLD_BUDGET.  Entry points given f and an interval price
-the worst case, H distinct values, before evaluating f.
+The plan charges sparse pair steps, a dense fold the pair count it breaks
+even with, under the caller's stage name against FOLD_BUDGET.  Entry points
+given f and an interval price H by H values before evaluating f (`_values`).
 
 Every identity used downstream (mass H^2, the Cauchy-Schwarz
 chain H^4 <= sumset*T) is checked in exact integer arithmetic.
@@ -53,7 +53,6 @@ from .ring import (
     Interval,
     PolyMod,
     _charge,
-    image_set,
     is_probable_prime,
     poly_values,
 )
@@ -114,14 +113,21 @@ def _dense(pairs: int, m: int) -> bool:
     return pairs > _crossover(m)
 
 
-def _afford(stage: str, na: int, nb: int, m: Optional[int] = None) -> None:
-    """Charge a fold of na by nb keys (mod m) against FOLD_BUDGET.
+def _afford(stage: str, na: int, nb: int, m: Optional[int] = None) -> bool:
+    """The fold plan: charge na * nb pairs (mod m) against FOLD_BUDGET; whether it runs dense.
 
-    The cost is in sparse pair steps on the backend `_fold` would pick: na * nb
+    The cost is in sparse pair steps on the backend that runs: na * nb
     pairs, or, for a dense fold, the pair count it breaks even with.
     """
-    cost = na * nb if m is None else min(na * nb, _crossover(m))
-    _charge(stage, cost, "pair steps", FOLD_BUDGET, "FOLD_BUDGET")
+    pairs = na * nb
+    _charge(stage, pairs if m is None else min(pairs, _crossover(m)), "pair steps", FOLD_BUDGET, "FOLD_BUDGET")
+    return m is not None and _dense(pairs, m)
+
+
+def _values(stage: str, f: PolyMod, interval: Interval) -> list[int]:
+    """[f(1), ..., f(H)] mod m, once the worst fold they can feed, H by H values, is affordable."""
+    _afford(stage, interval.H, interval.H, f.modulus)
+    return poly_values(f, interval)
 
 
 # memoryview formats of native unsigned slots; widths between them are
@@ -188,21 +194,21 @@ def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
     return out
 
 
-def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None) -> Counter:
-    """{x + y: sum of a[x] * b[y]}, with sums reduced mod m, or over Z when m is None.
+def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> Counter:
+    """{x + y: sum of a[x] * b[y]} mod m (over Z if m is None), once `_afford` plans its |a| |b| pairs.
 
     Mod m the keys must lie in [0, m) and the counts be positive.  The sparse
     backend merges one row per x of the shorter histogram (`_merge`).
     """
-    if m is not None and _dense(len(a) * len(b), m):
+    if _afford(stage, len(a), len(b), m):
         return _fold_dense(a, b, m)
     if len(a) > len(b):
         a, b = b, a  # the longer histogram runs in the inner loop
     return _merge(((x, cx, b, b.values()) for x, cx in a.items()), m, all(c == 1 for c in b.values()))
 
 
-def _fold_self(h: Mapping[int, int], m: Optional[int] = None) -> tuple[Counter, Counter, int]:
-    """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; n(n+1)/2 pairs pick the backend.
+def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> tuple[Counter, Counter, int]:
+    """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; its n(n+1)/2 pairs are planned and charged.
 
     The sparse backend merges each unordered pair {x, y} of keys once into
     V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
@@ -210,7 +216,7 @@ def _fold_self(h: Mapping[int, int], m: Optional[int] = None) -> tuple[Counter, 
     and V have the same support.  The dense backend returns S itself.
     """
     n = len(h)
-    if m is not None and _dense(n * (n + 1) // 2, m):
+    if _afford(stage, n * (n + 1) // 2, 1, m):
         return _fold_dense(h, h, m), Counter(), 1
     ks = list(h)
     cs = list(h.values())
@@ -234,8 +240,7 @@ def _squares(counts: Mapping[int, int]) -> int:
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
     pts = Counter({p % modulus for p in points})
-    _afford("set_energy_plus", len(pts), len(pts), modulus)
-    return _energy(*_fold_self(pts, modulus))
+    return _energy(*_fold_self(pts, modulus, "set_energy_plus"))
 
 
 def set_energy_times(points: Iterable[int], modulus: int) -> int:
@@ -253,7 +258,7 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
         dlog = _dlog_table(modulus)[1]
         logs = Counter(dlog[a] for a in pts if a)
         zero = (2 * len(pts) - 1) ** 2 if pts[0] == 0 else 0
-        return _energy(*_fold_self(logs, modulus - 1)) + zero
+        return _energy(*_fold_self(logs, modulus - 1, "set_energy_times")) + zero
     _afford("set_energy_times", len(pts), len(pts))  # the product loop
     half: Counter[int] = Counter()  # the products ab over unordered pairs a <= b
     for i, a in enumerate(pts):
@@ -267,22 +272,20 @@ def rep_function(f: PolyMod, interval: Interval, mode: str = PAIR_SUM) -> RepFun
     Total mass is H^2 by construction.
     """
     m = f.modulus
-    _afford("rep_function", interval.H, interval.H, m)
-    hist = Counter(poly_values(f, interval))
+    hist = Counter(_values("rep_function", f, interval))
     if mode == PAIR_SUM:
         other = hist
     elif mode == PAIR_DIFFERENCE:
         other = Counter({(-v) % m: c for v, c in hist.items()})
     else:
         raise DomainError(f"mode must be {PAIR_SUM!r} or {PAIR_DIFFERENCE!r}, got {mode!r}")
-    return RepFunction(m, mode, dict(_fold(hist, other, m)))
+    return RepFunction(m, mode, dict(_fold(hist, other, m, "rep_function")))
 
 
 def energy_T(f: PolyMod, interval: Interval) -> int:
     """T = #{(x,y,z,w) in I^4 : f(x)+f(y) = f(z)+f(w) mod m} = sum_lambda R(lambda)^2."""
-    _afford("energy_T", interval.H, interval.H, f.modulus)
-    hist = Counter(poly_values(f, interval))
-    return _energy(*_fold_self(hist, f.modulus))
+    hist = Counter(_values("energy_T", f, interval))
+    return _energy(*_fold_self(hist, f.modulus, "energy_T"))
 
 
 def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
@@ -296,15 +299,12 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     C costs |X| |A| pairs, and none at all when no two values collide.
     """
     hist = Counter(values)
-    ones = dict.fromkeys(hist, 1)
-    _afford("additive_stats", len(ones), len(ones), modulus)
-    v, d, c = _fold_self(ones, modulus)
+    v, d, c = _fold_self(dict.fromkeys(hist, 1), modulus, "additive_stats")
     ep = _energy(v, d, c)
     excess = {x: n - 1 for x, n in hist.items() if n > 1}
     t = ep
     if excess:
-        _afford("additive_stats", len(excess), len(hist), modulus)
-        corr = _fold(excess, {x: n + 1 for x, n in hist.items()}, modulus)
+        corr = _fold(excess, {x: n + 1 for x, n in hist.items()}, modulus, "additive_stats")
         # sum_k C[k] (2 S[k] + C[k]) by C iterators; C lives on A + A = supp V
         cv = sum(map(mul, corr.values(), map(v.__getitem__, corr)))
         cd = sum(map(mul, d.values(), map(corr.get, d, repeat(0))))
@@ -314,14 +314,12 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
 
 def energy_plus(f: PolyMod, interval: Interval) -> int:
     """Additive energy of the image SET f({1..H}) (deduplicated)."""
-    _afford("energy_plus", interval.H, interval.H, f.modulus)
-    return set_energy_plus(image_set(f, interval), f.modulus)
+    return set_energy_plus(_values("energy_plus", f, interval), f.modulus)
 
 
 def energy_times(f: PolyMod, interval: Interval) -> int:
     """Multiplicative energy of the image SET f({1..H}) (deduplicated)."""
-    _afford("energy_times", interval.H, interval.H, f.modulus)
-    return set_energy_times(image_set(f, interval), f.modulus)
+    return set_energy_times(_values("energy_times", f, interval), f.modulus)
 
 
 def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int) -> int:
@@ -330,21 +328,18 @@ def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int)
         raise DomainError(f"modulus must be >= 2, got {modulus}")
     aa = Counter({p % modulus for p in a_points})
     bb = Counter({p % modulus for p in b_points})
-    _afford("energy_cross", len(aa), len(bb), modulus)
-    return _squares(_fold(aa, bb, modulus))
+    return _squares(_fold(aa, bb, modulus, "energy_cross"))
 
 
 def sumset_size(f: PolyMod, interval: Interval) -> int:
     """#(f(I) + f(I)) inside Z/m."""
-    _afford("sumset_size", interval.H, interval.H, f.modulus)
-    pts = Counter(image_set(f, interval))
-    return len(_fold_self(pts, f.modulus)[0])
+    pts = dict.fromkeys(_values("sumset_size", f, interval), 1)
+    return len(_fold_self(pts, f.modulus, "sumset_size")[0])
 
 
 def energy_report(f: PolyMod, interval: Interval) -> EnergyReport:
     """Compute every statistic from one evaluation of f; K = H^3/T is exact."""
-    _afford("energy_report", interval.H, interval.H, f.modulus)
-    vals = poly_values(f, interval)
+    vals = _values("energy_report", f, interval)
     t, ep, ss = additive_stats(vals, f.modulus)
     h = interval.H
     return EnergyReport(

@@ -191,7 +191,7 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     cs = _clean_coeffs(coeffs, H)
     _afford("count_symmetric_eq", H, H)
     hist = Counter(poly_table(cs, 1, H))
-    total = _energy(*_fold_self(hist))
+    total = _energy(*_fold_self(hist, stage="count_symmetric_eq"))
     r0 = _squares(hist)
     return SymmetricCount(total, r0, total - r0 * r0)
 

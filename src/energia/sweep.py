@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Optional, TextIO
 
-from .bounds import fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
-from .energy import _afford, additive_stats
-from .ring import BudgetExceeded, DomainError, Interval, PolyMod, is_probable_prime, poly_values
+from .bounds import _slope, fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
+from .energy import _values, additive_stats
+from .ring import BudgetExceeded, DomainError, Interval, PolyMod, is_probable_prime
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -149,8 +150,7 @@ def run_cell(
         f = _random_poly(d, m, rng)
     elif f.degree != d or f.modulus != m:
         raise DomainError("pinned polynomial does not match the cell's (d, m)")
-    _afford("run_cell", H, H, m)
-    t_val, ep, ss = additive_stats(poly_values(f, Interval(H)), m)
+    t_val, ep, ss = additive_stats(_values("run_cell", f, Interval(H)), m)
     k_val = Fraction(H**3, t_val)
     cs_ok = H**4 <= ss * t_val
     sandwich: Optional[bool] = None
@@ -176,15 +176,8 @@ def _cell_job(args: tuple[int, int, int, int, str]) -> CellResult:
         return CellResult(d, m, H, seed, error=f"{type(exc).__name__}: {exc}")
 
 
-def _slope(points: Sequence[tuple[float, float]]) -> Optional[float]:
-    xs = [p[0] for p in points]
-    if len(points) < 2 or len(set(xs)) < 2:
-        return None
-    return statistics.linear_regression(xs, [p[1] for p in points]).slope
-
-
 def run_sweep(config: Optional[SweepConfig] = None, workers: int = 1) -> SweepReport:
-    """Run the whole grid; rows come back in grid order regardless of workers."""
+    """Run the whole grid in at most min(workers, cells, CPUs) processes; rows come in grid order."""
     cfg = config or SweepConfig()
     jobs = [
         (d, m, H, seed, cfg.master)
@@ -194,7 +187,8 @@ def run_sweep(config: Optional[SweepConfig] = None, workers: int = 1) -> SweepRe
         if H <= m
         for seed in cfg.seeds
     ]
-    if workers > 1 and len(jobs) > 1:
+    workers = min(workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_cell_job, jobs, chunksize=4))
     else:

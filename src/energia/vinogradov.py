@@ -7,6 +7,8 @@ packing is linear and injective on every vector compared, so the histogram
 of s-tuple vectors is s layers of the energy module's one additive fold
 (`_fold`) over the packed vectors of single elements, and J is the sum of
 its squared fibres.  count_Ts folds the value histogram mod m the same way.
+The n^s tuples are charged against `budget` up front, and each layer's fold
+against FOLD_BUDGET, under the caller's stage name, just before it runs.
 The genuinely naive 2s-fold loop lives in the test suite.
 """
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .bounds import _slope
 from .energy import _fold, _squares
 from .ring import DomainError, Interval, PolyMod, _charge, int_poly_eval, poly_values
 
@@ -77,7 +80,7 @@ def _tuples(size: int, s: int, budget: int) -> int:
     return size ** min(s, max(64, budget.bit_length()))
 
 
-def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Counter, int]:
+def _power_sum_histogram(d: int, s: int, elements: Sequence[int], stage: str = "count_J") -> tuple[Counter, int]:
     """Histogram of packed power-sum vectors over ordered s-tuples, and the radix.
 
     Each component of a difference of two such vectors, or of one vector
@@ -89,7 +92,7 @@ def _power_sum_histogram(d: int, s: int, elements: Sequence[int]) -> tuple[Count
     single = Counter(int_poly_eval([x**j for j in range(1, d + 1)], radix) for x in elements)
     hist: Counter[int] = Counter({0: 1})
     for _ in range(s):  # ordered tuples, so no symmetry factor
-        hist = _fold(hist, single)
+        hist = _fold(hist, single, stage=stage)
     return hist, radix
 
 
@@ -133,7 +136,7 @@ def count_I(
             raise DomainError(
                 f"|shift_{j}| = {abs(v)} exceeds the attainable range s*H^{j} = {s * H**j}"
             )
-    hist, radix = _power_sum_histogram(d, s, range(1, H + 1))
+    hist, radix = _power_sum_histogram(d, s, range(1, H + 1), "count_I")
     shift = int_poly_eval(lam, radix)
     return sum(c * hist.get(k - shift, 0) for k, c in hist.items())
 
@@ -145,7 +148,7 @@ def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGE
     hist = Counter(poly_values(f, interval))
     layer: Counter[int] = Counter({0: 1})
     for _ in range(s):
-        layer = _fold(layer, hist, f.modulus)
+        layer = _fold(layer, hist, f.modulus, "count_Ts")
     return _squares(layer)
 
 
@@ -189,10 +192,5 @@ def check_J_bound(
         entries.extend(sweep)
     if not entries:
         raise DomainError("need a set X or an H sweep")
-    slope = None
     pts = [(math.log(e.H), math.log(e.ratio)) for e in sweep if e.H and e.H > 1]
-    if len(pts) >= 2 and len({x for x, _ in pts}) >= 2:
-        import statistics
-
-        slope = statistics.linear_regression([x for x, _ in pts], [y for _, y in pts]).slope
-    return JBoundRecord(d, s, tuple(entries), slope)
+    return JBoundRecord(d, s, tuple(entries), _slope(pts))

@@ -305,6 +305,29 @@ def test_eqcount_budget_refuses_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # d < s: the third layer folds 80200 pair vectors with 400 single ones
+    ["vinogradov", "--d", "2", "--s", "3", "--H", "400"],
+    ["vinogradov", "--d", "3", "--s", "3", "--H", "400"],
+    # the second layer folds 5000 by 5000 vectors
+    ["vinogradov", "--d", "2", "--s", "2", "--H", "5000"],
+])
+def test_vinogradov_layer_fold_refuses_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error: count_J") and "FOLD_BUDGET" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_measure_samples_refused_at_once(capsys):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, [
+        "lattice", "measure", "--matrix", "1,0;0,1", "--eps", "1/4,1/4", "--samples", "100000000",
+    ])
+    assert rc == 2 and out == "" and err.startswith("error: fractional_measure")
+    assert time.perf_counter() - t0 < 1.0
+
+
 PSI_13 = 3317044064679887385961981
 
 

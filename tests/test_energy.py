@@ -1,4 +1,6 @@
 import random
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -21,7 +23,10 @@ from energia.energy import (
     set_energy_times,
     sumset_size,
 )
+from energia.eqcount import count_symmetric_eq
 from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod, image_set
+from energia.sweep import run_cell
+from energia.vinogradov import count_I, count_J, count_Ts
 
 import oracles
 
@@ -421,3 +426,112 @@ def test_self_fold_fixed_cases(h, m):
     assert expected[2] == dict(_pair_loop(h, h, m))
     for dense in (None, False, True):
         assert _self_fold_views(h, m, dense) == expected
+
+
+# --- every fold is charged once, just before it runs, for its backend --------
+
+
+def _fold_ledger(monkeypatch):
+    """The FOLD_BUDGET charges and the backend calls of every fold, in order.
+
+    A charge records whether `_afford` was called from a fold or from a
+    guard; a sparse call records the pairs its rows hold, a dense one |a| |b|.
+    """
+    events = []
+    charge, merge, dense = energy._charge, energy._merge, energy._fold_dense
+
+    def spy_charge(stage, units, unit, budget, name):
+        caller = sys._getframe(2).f_code.co_name  # spy_charge <- _afford <- caller
+        events.append(("charge", stage, units, name, caller in ("_fold", "_fold_self")))
+        charge(stage, units, unit, budget, name)
+
+    def spy_merge(rows, m, unit):
+        rows = list(rows)  # (x, cx, ys, cys): one pair per y of each row
+        events.append(("sparse", m, sum(len(ys) for _, _, ys, _ in rows)))
+        return merge(rows, m, unit)
+
+    def spy_dense(a, b, m):
+        events.append(("dense", m, len(a) * len(b)))
+        return dense(a, b, m)
+
+    monkeypatch.setattr(energy, "_charge", spy_charge)
+    monkeypatch.setattr(energy, "_merge", spy_merge)
+    monkeypatch.setattr(energy, "_fold_dense", spy_dense)
+    return events
+
+
+def _check_ledger(events, stages):
+    """The backends that ran; each came right after its own fold's charge of min(pairs, crossover)."""
+    kinds = []
+    for i, event in enumerate(events):
+        if event[0] == "charge":
+            continue
+        kind, m, pairs = event
+        before = events[i - 1] if i else ("none",)
+        assert before[0] == "charge" and before[3] == "FOLD_BUDGET" and before[4], (before, event)
+        assert before[1] in stages, (before, stages)
+        if kind == "sparse":  # the pairs the rows hold are the pairs visited
+            assert m is None or pairs <= energy._crossover(m)
+            assert before[2] == (pairs if m is None else min(pairs, energy._crossover(m)))
+        else:  # dense: more pairs than the crossover, charged the crossover
+            assert pairs > energy._crossover(m) and before[2] == energy._crossover(m)
+        kinds.append(kind)
+    return kinds
+
+
+def test_every_fold_is_charged_once_for_the_backend_that_runs(monkeypatch):
+    events = _fold_ledger(monkeypatch)
+    rng = random.Random("fold-ledger")
+    seen = set()
+
+    def run(stages, fn, *args):
+        events.clear()
+        fn(*args)
+        seen.update(_check_ledger(events, stages))
+
+    for m in (101, 1009):
+        for d in (2, 3):
+            f = PolyMod(tuple(rng.randrange(m) for _ in range(d)) + (1,), m)
+            # a few values fold sparse; a third of Z/m folds dense
+            for H in (4, m // 3):
+                iv = Interval(H)
+                run({"rep_function"}, rep_function, f, iv)
+                run({"rep_function"}, rep_function, f, iv, PAIR_DIFFERENCE)
+                run({"energy_T"}, energy_T, f, iv)
+                run({"set_energy_plus"}, energy_plus, f, iv)
+                run({"set_energy_times"}, energy_times, f, iv)
+                run({"sumset_size"}, sumset_size, f, iv)
+                run({"additive_stats", "set_energy_times"}, energy_report, f, iv)
+                run({"additive_stats"}, additive_stats, [rng.randrange(m) for _ in range(H)], m)
+                run({"additive_stats"}, run_cell, d, m, H, rng.randrange(10))
+                pts = rng.sample(range(m), H)
+                run({"set_energy_plus"}, set_energy_plus, pts, m)
+                run({"set_energy_times"}, set_energy_times, pts, m)
+                run({"energy_cross"}, energy_cross, pts, rng.sample(range(m), H // 2 + 1), m)
+                for s in (1, 2, 3):
+                    run({"count_Ts"}, count_Ts, f, Interval(min(H, 30)), s)
+    for d, s in ((1, 3), (2, 2), (2, 3), (3, 2)):
+        run({"count_J"}, count_J, d, s, rng.sample(range(-40, 40), 9))
+        run({"count_I"}, count_I, d, s, 6, (0,) * d)
+    for coeffs, H in (((0, 0, 1), 12), ((1, -2, 0, 1), 40)):
+        run({"count_symmetric_eq"}, count_symmetric_eq, coeffs, H)
+    assert seen == {"sparse", "dense"}
+
+
+def test_self_fold_is_charged_its_unordered_pairs(monkeypatch):
+    # 4471 * 4472 / 2 pairs fit FOLD_BUDGET, 4472 * 4473 / 2 do not; the
+    # merge is stubbed so that the admitted fold does not run
+    monkeypatch.setattr(energy, "_merge", lambda rows, m, unit: Counter())
+    set_energy_plus(range(4471), 10**9)
+    with pytest.raises(BudgetExceeded, match="set_energy_plus: 10001628 pair steps"):
+        set_energy_plus(range(4472), 10**9)
+
+
+@pytest.mark.parametrize("n", [4000, 5000, 7000])
+def test_multiplicative_energy_refuses_past_the_fold_budget_at_once(n):
+    # mod 999983, 4000 points take the product loop; 5000 and 7000 take the
+    # log route, whose self-fold is sparse at 5000 and dense at 7000
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="set_energy_times: .*FOLD_BUDGET"):
+        set_energy_times(range(1, n + 1), 999983)
+    assert time.perf_counter() - t0 < 1.0

@@ -47,7 +47,7 @@ from energia.lattice import (
 )
 from energia.cli import json_ready
 from energia.eqcount import in_regime
-from energia.ring import DomainError
+from energia.ring import BudgetExceeded, DomainError
 
 import oracles
 
@@ -707,6 +707,21 @@ def test_fractional_measure_validation():
         fractional_measure([[1, 0], [0, 1]], ["3/4", "1/4"])
     with pytest.raises(DomainError):
         fractional_measure([[1, 0], [0, 1]], [0.25, 0.25])
+
+
+@pytest.mark.parametrize("mat, samples", [
+    ([[1]], 2 * 10**6 + 1),
+    ([[1, 0], [0, 1]], 500_001),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 222_223),  # 9 * 222223 = 2000007 steps
+    ([[1, 0], [0, 1]], 10**8),
+])
+def test_fractional_measure_priced_before_the_first_sample(mat, samples):
+    # samples * d^2 steps past _MEASURE_BUDGET = 2e6 are refused at once;
+    # criterion 09 (d = 3, 1e5 samples, 9e5 steps) stays inside it
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="fractional_measure: .*_MEASURE_BUDGET"):
+        fractional_measure(mat, ["1/4"] * len(mat), samples=samples)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_fresh_import_releases_old_classes():

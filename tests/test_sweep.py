@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from energia import sweep
 from energia.cli import json_ready
 from energia.energy import energy_plus, energy_T, sumset_size
 from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod, image_set
@@ -158,6 +159,39 @@ def test_run_sweep_worker_parity():
     par = run_sweep(SMALL, workers=2)
     assert seq == par
     assert json.dumps(json_ready(seq)) == json.dumps(json_ready(par))
+
+
+class _StubPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, cpus, pool", [
+    (10**9, 8, 8),  # SMALL has 12 cells
+    (10**9, 64, 12),
+    (3, 64, 3),
+    (2, 1, None),  # one CPU: no pool at all
+    (10**9, None, None),  # cpu_count() unknown counts as one
+    (1, 64, None),
+])
+def test_run_sweep_caps_its_workers(monkeypatch, workers, cpus, pool):
+    sizes = []
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", lambda max_workers: _StubPool(sizes, max_workers))
+    monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+    report = run_sweep(SMALL, workers=workers)
+    assert sizes == ([] if pool is None else [pool])
+    assert json.dumps(json_ready(report)) == json.dumps(json_ready(run_sweep(SMALL)))
 
 
 def test_write_csv():
