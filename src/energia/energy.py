@@ -180,8 +180,8 @@ def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
     """The sum of the rows (x, cx, ys, cys), each {x + y: cx * cy} mod m or over Z.
 
     A row at a time, at C speed: Counter.update when every weight is 1, else
-    one dict.update of (key, old + weight) pairs, exact since the keys of a
-    row are distinct (distinct y, and mod m in [0, m), so x + y mod m too).
+    one dict.update of (key, old + weight) pairs, exact even if a row repeats
+    a key: dict.update stores each pair before it draws the next (and its get).
     """
     out: Counter[int] = Counter()
     for x, cx, ys, cys in rows:
@@ -205,6 +205,12 @@ def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None, s
     if len(a) > len(b):
         a, b = b, a  # the longer histogram runs in the inner loop
     return _merge(((x, cx, b, b.values()) for x, cx in a.items()), m, all(c == 1 for c in b.values()))
+
+
+def _fold_rows(rows: Iterable[tuple], pairs: int, stage: str = "fold") -> Counter:
+    """`_merge` of weighted rows over Z that hold `pairs` pairs, once `_afford` charges them."""
+    _afford(stage, pairs, 1)
+    return _merge(rows, None, False)
 
 
 def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> tuple[Counter, Counter, int]:
@@ -255,6 +261,8 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
         and modulus <= TABLE_BUDGET
         and is_probable_prime(modulus)
     ):
+        nonzero = len(pts) - (pts[0] == 0)  # their logs are distinct: price the fold before the table
+        _afford("set_energy_times", nonzero * (nonzero + 1) // 2, 1, modulus - 1)
         dlog = _dlog_table(modulus)[1]
         logs = Counter(dlog[a] for a in pts if a)
         zero = (2 * len(pts) - 1) ** 2 if pts[0] == 0 else 0

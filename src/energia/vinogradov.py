@@ -3,12 +3,13 @@
 count_J(d, s, X) counts 2s-tuples (x_1..x_s, y_1..y_s) from X with
 sum x_i^j = sum y_i^j for every j = 1..d.  Each power-sum vector
 (v_1..v_d) is packed into the single integer sum v_j * radix^(j-1); the
-packing is linear and injective on every vector compared, so the histogram
-of s-tuple vectors is s layers of the energy module's one additive fold
-(`_fold`) over the packed vectors of single elements, and J is the sum of
-its squared fibres.  count_Ts folds the value histogram mod m the same way.
-The n^s tuples are charged against `budget` up front, and each layer's fold
-against FOLD_BUDGET, under the caller's stage name, just before it runs.
+packing is linear and injective on every vector compared.  J is the sum of
+the squared fibres of the histogram of s-tuple vectors: each multiset of s
+elements once with its orderings or, where that costs more (the sums of
+d = 1 collide), s layers of ordered tuples (`_fold`); count_Ts folds the
+value histogram mod m in layers.  The n^s tuples are charged against
+`budget` up front, and each fold against FOLD_BUDGET under the caller's
+stage name before it runs (the multisets as the ordered last layer).
 The genuinely naive 2s-fold loop lives in the test suite.
 """
 from __future__ import annotations
@@ -17,10 +18,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterator, Optional, Sequence
 
 from .bounds import _slope
-from .energy import _fold, _squares
+from .energy import _afford, _fold, _fold_rows, _squares
 from .ring import DomainError, Interval, PolyMod, _charge, int_poly_eval, poly_values
 
 DEFAULT_BUDGET = 10**8  # hash insertions, size^s for s folds over size keys
@@ -80,6 +82,32 @@ def _tuples(size: int, s: int, budget: int) -> int:
     return size ** min(s, max(64, budget.bit_length()))
 
 
+def _by_multisets(n: int, s: int, spans: Sequence[int]) -> bool:
+    """The plan: whether the C(n + s - 1, s) multisets of s of n keys cost no more than the layers,
+    layer k holding min(C(n + k - 1, k), prod_j (k span_j + 1)) keys at most, n pair steps each."""
+    multisets = math.comb(n + s - 1, s)
+    layers = (n * min(math.comb(n + k - 1, k), math.prod(k * w + 1 for w in spans)) for k in range(s))
+    return any(steps >= multisets for steps in accumulate(layers))
+
+
+def _multiset_rows(s: int, singles: Sequence[int]) -> Iterator[tuple]:
+    """Each multiset of s of the singles once, as `_merge` rows (m v, C(s, m), sums, orderings).
+
+    layers[k] holds the sums of the k-multisets of the singles so far and their k!/prod m_i!
+    orderings; m copies of the next single v add m v and multiply the orderings by C(k + m, m).
+    Larger layers go first, so none takes v twice."""
+    layers = {0: ([0], [1])}
+    for i, v in enumerate(singles, 1 - len(singles)):  # i = 0 at the last single: only complete
+        for k, (keys, counts) in sorted(layers.items(), reverse=True):
+            for m in range(s - k if i == 0 else 1, s - k + 1):
+                if k + m == s:
+                    yield m * v, math.comb(s, m), keys[:], counts[:]  # the layer grows on
+                else:
+                    ks, cs = layers.setdefault(k + m, ([], []))
+                    ks.extend(map((m * v).__add__, keys))
+                    cs.extend(map(math.comb(k + m, m).__mul__, counts))
+
+
 def _power_sum_histogram(d: int, s: int, elements: Sequence[int], stage: str = "count_J") -> tuple[Counter, int]:
     """Histogram of packed power-sum vectors over ordered s-tuples, and the radix.
 
@@ -89,8 +117,12 @@ def _power_sum_histogram(d: int, s: int, elements: Sequence[int], stage: str = "
     injective on everything compared.
     """
     radix = 4 * s * max(abs(x) for x in elements) ** d + 1
-    single = Counter(int_poly_eval([x**j for j in range(1, d + 1)], radix) for x in elements)
-    hist: Counter[int] = Counter({0: 1})
+    powers = [[x**j for j in range(1, d + 1)] for x in elements]
+    singles = [int_poly_eval(p, radix) for p in powers]
+    if _by_multisets(n := len(singles), s, [max(c) - min(c) for c in zip(*powers)]):
+        _afford(stage, n, math.comb(n + s - 2, s - 1))  # the ordered fold's last layer: same refusals
+        return _fold_rows(_multiset_rows(s, singles), math.comb(n + s - 1, s), stage), radix
+    hist, single = Counter({0: 1}), Counter(singles)
     for _ in range(s):  # ordered tuples, so no symmetry factor
         hist = _fold(hist, single, stage=stage)
     return hist, radix

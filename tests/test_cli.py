@@ -319,6 +319,18 @@ def test_vinogradov_layer_fold_refuses_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # a one-element set has one multiset however large s is
+    ["vinogradov", "--d", "2", "--s", "3000000", "--set", "5"],
+    ["vinogradov", "--d", "2", "--s", "1000000", "--H", "1", "--shifts", "0,0"],
+])
+def test_vinogradov_huge_s_on_one_element_at_once(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 0 and json.loads(out)["count"] == 1 or rc == 2 and err.startswith("error:")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_measure_samples_refused_at_once(capsys):
     t0 = time.perf_counter()
     rc, out, err = _run(capsys, [

@@ -442,7 +442,7 @@ def _fold_ledger(monkeypatch):
 
     def spy_charge(stage, units, unit, budget, name):
         caller = sys._getframe(2).f_code.co_name  # spy_charge <- _afford <- caller
-        events.append(("charge", stage, units, name, caller in ("_fold", "_fold_self")))
+        events.append(("charge", stage, units, name, caller in ("_fold", "_fold_self", "_fold_rows")))
         charge(stage, units, unit, budget, name)
 
     def spy_merge(rows, m, unit):
@@ -535,3 +535,30 @@ def test_multiplicative_energy_refuses_past_the_fold_budget_at_once(n):
     with pytest.raises(BudgetExceeded, match="set_energy_times: .*FOLD_BUDGET"):
         set_energy_times(range(1, n + 1), 999983)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_merge_is_exact_when_a_row_repeats_a_key():
+    # dict.update stores each (key, old + weight) pair before drawing the next,
+    # so a key repeated within a row adds up as in a plain loop
+    rng = random.Random("repeated keys")
+    for m in (None, 7):
+        for unit in (False, True):
+            rows = [(rng.randrange(-9, 9), rng.choice((1, 3)), [rng.randrange(5) for _ in range(12)],
+                     [1 if unit else rng.randrange(1, 9) for _ in range(12)]) for _ in range(6)]
+            want = Counter()
+            for x, cx, ys, cys in rows:
+                for y, cy in zip(ys, cys):
+                    want[x + y if m is None else (x + y) % m] += cx * cy
+            assert energy._merge(rows, m, unit) == want
+
+
+@pytest.mark.parametrize("n", [5000, 7000])
+def test_multiplicative_energy_prices_the_log_fold_before_the_table(monkeypatch, n):
+    def no_table(p):
+        raise AssertionError("the discrete-log table was built for a refused fold")
+
+    monkeypatch.setattr(energy, "_dlog_table", no_table)
+    with pytest.raises(BudgetExceeded, match="set_energy_times: .*FOLD_BUDGET"):
+        set_energy_times(range(1, n + 1), 999983)
+    with pytest.raises(AssertionError, match="discrete-log table"):
+        set_energy_times(range(200), 10007)  # admitted: the log route builds it

@@ -792,3 +792,11 @@ def test_geometry_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "9cf9e6356023dc443ee8e29fdc056d8e98b941b2ab0a54e54a8901da44d393d5"
     )
+
+
+def test_fractional_measure_counts_each_sample_once_more():
+    # samples * (d^2 + 1) steps: a sample's own loop costs about as much as d = 1's
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="fractional_measure: 2000002 steps"):
+        fractional_measure([[1]], ["1/4"], samples=10**6 + 1)
+    assert time.perf_counter() - t0 < 1.0

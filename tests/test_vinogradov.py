@@ -1,9 +1,13 @@
+import math
 import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod
+from energia import energy, vinogradov
 from energia.energy import _squares
 from energia.vinogradov import (
     PowerSumVector,
@@ -149,3 +153,85 @@ def test_count_J_folds_only_the_first_s_equations():
         xs = sorted(set(rng.sample(range(-12, 13), rng.randint(1, 6))))
         full = _squares(_power_sum_histogram(d, s, xs)[0])
         assert count_J(d, s, xs) == count_J(s, s, xs) == full, (d, s, xs)
+
+
+# --- the plan: multisets with their orderings, or ordered layers ------------
+
+
+def _both_paths(monkeypatch, fn, *args):
+    """fn(*args) with the histogram summed over multisets, then folded in ordered layers."""
+    out = []
+    for multisets in (True, False):
+        monkeypatch.setattr(vinogradov, "_by_multisets", lambda n, s, spans, m=multisets: m)
+        out.append(fn(*args))
+    return out
+
+
+def test_both_paths_match_the_oracles(monkeypatch):
+    rng = random.Random(20261019)
+    for _ in range(60):
+        d, s = rng.randint(1, 4), rng.randint(1, 6)
+        n = rng.randint(1, {1: 7, 2: 5, 3: 4, 4: 3}.get(s, 2))
+        xs = sorted(rng.sample(range(-6, 7), n))  # negatives and zero
+        want = oracles.count_J_recursive(d, s, xs)
+        assert _both_paths(monkeypatch, count_J, d, s, xs) == [want, want], (d, s, xs)
+        H = n + 1
+        lam = [rng.randint(-s * H**j, s * H**j) // 3 for j in range(1, d + 1)]
+        want = oracles.count_I_recursive(d, s, H, lam)
+        assert _both_paths(monkeypatch, count_I, d, s, H, lam) == [want, want], (d, s, H, lam)
+
+
+def test_both_paths_give_the_same_histogram(monkeypatch):
+    rng = random.Random("multisets")
+    for _ in range(40):
+        d, s = rng.randint(1, 4), rng.randint(1, 4)
+        xs = sorted(rng.sample(range(-30, 31), rng.randint(1, 10)))
+        multi, layered = _both_paths(monkeypatch, _power_sum_histogram, d, s, xs)
+        assert multi == layered, (d, s, xs)
+
+
+def test_both_paths_on_a_forced_collision(monkeypatch):
+    # 1 + 5 + 6 = 2 + 3 + 7 and 1 + 25 + 36 = 4 + 9 + 49: two multisets share a key
+    xs = (1, 2, 3, 5, 6, 7)
+    multi, layered = _both_paths(monkeypatch, _power_sum_histogram, 2, 3, xs)
+    assert multi == layered and len(multi) < math.comb(8, 3)
+    want = oracles.count_J_recursive(2, 3, xs)
+    assert _both_paths(monkeypatch, count_J, 2, 3, xs) == [want, want]
+
+
+@pytest.mark.parametrize("d, s, xs, want", [
+    # the sums of d = 1 collide: the plan keeps the ordered layers
+    (1, 3, range(1, 201), 176002000040),
+    (1, 4, range(1, 101), 47938730314300),
+])
+def test_colliding_sums_keep_the_layers(d, s, xs, want):
+    t0 = time.perf_counter()
+    assert count_J(d, s, xs) == want
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("fn, stage, args, pairs", [
+    # n C(n + s - 2, s - 1), the ordered fold's last layer: 271 * C(272, 2) and
+    # 87 * C(89, 3) fit, one key more does not; a one-element set costs 1
+    (count_J, "count_J", (2, 3, range(1, 272)), None),
+    (count_J, "count_J", (2, 3, range(1, 273)), 10098816),
+    (count_J, "count_J", (4, 4, range(1, 88)), None),
+    (count_J, "count_J", (4, 4, range(1, 89)), 10338240),
+    (count_I, "count_I", (2, 3, 272, (0, 0)), 10098816),
+    (count_J, "count_J", (2, 3, range(1, 401)), 32080000),
+    (count_J, "count_J", (2, 2 * 10**7, [5]), None),
+])
+def test_multisets_are_charged_as_the_last_layer(monkeypatch, fn, stage, args, pairs):
+    # the merge is stubbed so that the admitted folds do not run
+    monkeypatch.setattr(energy, "_merge", lambda rows, m, unit: Counter())
+    if pairs is None:
+        fn(*args)
+    else:
+        with pytest.raises(BudgetExceeded, match=f"{stage}: {pairs} pair steps .*FOLD_BUDGET"):
+            fn(*args)
+
+
+def test_one_element_set_answers_any_s_at_once():
+    t0 = time.perf_counter()
+    assert count_J(2, 2 * 10**7, [5]) == count_I(3, 10**6, 1, (0, 0, 0)) == 1
+    assert time.perf_counter() - t0 < 1.0
