@@ -21,11 +21,11 @@ from typing import Optional, Sequence, Union
 
 from .energy import _afford, _energy, _fold_self, _squares
 from .lattice import (
+    IntLattice,
     NullspaceRecord,
     WeightedBox,
     _independent,
     bv_small_solutions,
-    congruence_lattice,
     shortest_vector_in,
 )
 from .ring import (
@@ -371,13 +371,17 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
 
 
 def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) -> PipelineCertificate:
+    """The constructive count.  For the monic coefficients a (a_d = 1) the
+    congruence lattice {l a + m Z^d} has the basis a, m e_1, ..., m e_{d-1},
+    built here in closed form: shortest_vector_in returns the same least
+    vector from any basis of the lattice, after its one LLL."""
     m = f.modulus
     d = f.degree
     u = inv_mod(f.coeffs[-1], m)
     monic = tuple(u * c % m for c in f.coeffs)
     lam = u * (shift % m) % m
 
-    lat = congruence_lattice(monic[1:], m)
+    lat = IntLattice((monic[1:],) + tuple(tuple(m * (i == j) for j in range(d)) for i in range(d - 1)))
     box = WeightedBox(tuple(Fraction(m, 100 * d * H**j) for j in range(1, d + 1)))
     b = shortest_vector_in(lat, box)
     if b is None:

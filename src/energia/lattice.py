@@ -14,7 +14,9 @@ is one Fincke-Pohst enumeration, _points, in integers: it reads the Gram
 determinants and scaled coefficients of integral LLL (the coset search
 takes the same integer Gram-Schmidt unreduced), ranges each level exactly
 by an integer square root, filters by the integer gauge, and visits one of
-each pair +-v.  Fractions are built only for the norms reported.  Floating
+each pair +-v; a full-rank search is priced before its first node by a
+tile lower bound on its points.  Fractions are built only for the norms
+reported.  Floating
 point appears only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
@@ -210,7 +212,9 @@ class _Gauge:
     integers W_i = S w_i, S the lcm of the denominators of the w_i, so the
     norm of a numerator vector v is the integer agg_i |v_i| W_i over S, and
     the quadratic weights W_i^2 / S^2 have the lcm S^2.  Each body names
-    its agg and its weight w_i as a function of its one field's c_i."""
+    its agg and its weight w_i as a function of its one field's c_i, given
+    as w_i's numerator and denominator (c_i's, swapped for w_i = 1/c_i), so
+    W_i and S come from integers alone."""
 
     def __post_init__(self) -> None:
         (fld,) = fields(self)
@@ -218,9 +222,9 @@ class _Gauge:
         if not vals or any(c <= 0 for c in vals):
             raise DomainError(f"{fld.name.replace('_', '-')} must be positive rationals")
         object.__setattr__(self, fld.name, vals)
-        weights, scale = _scaled([self._weight(c) for c in vals])
-        object.__setattr__(self, "_weights", tuple(weights))
-        object.__setattr__(self, "_scale", scale)
+        num, den = zip(*(self._weight(c) for c in vals))  # w_i = num_i / den_i in lowest terms
+        object.__setattr__(self, "_scale", math.lcm(*den))
+        object.__setattr__(self, "_weights", tuple(p * (self._scale // q) for p, q in zip(num, den)))
 
     @property
     def dim(self) -> int:
@@ -244,7 +248,7 @@ class WeightedBox(_Gauge):
 
     half_widths: tuple[Fraction, ...]
     _agg = staticmethod(max)
-    _weight = staticmethod(lambda c: 1 / c)
+    _weight = staticmethod(lambda c: (c.denominator, c.numerator))
 
     def volume(self) -> Fraction:
         return math.prod(2 * c for c in self.half_widths)
@@ -256,6 +260,11 @@ class WeightedBox(_Gauge):
     def polar(self) -> "DualBody":
         return DualBody(self.half_widths)
 
+    def _tile_volume(self, rows: Sequence[Sequence[int]], cap: int) -> tuple[int, int]:
+        # the box of gauge cap has half-widths cap / W_i; it shrinks by the
+        # extent sum_j |b_ji| of the parallelepiped in each coordinate
+        return math.prod(max(0, 2 * cap - w * sum(abs(r[i]) for r in rows)) for i, w in enumerate(self._weights)), 1
+
 
 @dataclass(frozen=True)
 class DualBody(_Gauge):
@@ -264,7 +273,7 @@ class DualBody(_Gauge):
 
     coefficients: tuple[Fraction, ...]
     _agg = staticmethod(sum)
-    _weight = staticmethod(lambda c: c)
+    _weight = staticmethod(lambda c: (c.numerator, c.denominator))
 
     def volume(self) -> Fraction:
         return Fraction(2**self.dim, math.factorial(self.dim)) / math.prod(self.coefficients)
@@ -275,6 +284,11 @@ class DualBody(_Gauge):
 
     def polar(self) -> WeightedBox:
         return WeightedBox(self.coefficients)
+
+    def _tile_volume(self, rows: Sequence[Sequence[int]], cap: int) -> tuple[int, int]:
+        # the body of gauge cap - rho/2 centred at sum_j b_j / 2, rho = sum_j
+        # gauge(b_j), since the parallelepiped lies within rho/2 of that centre
+        return max(0, 2 * cap - sum(map(self._gauge, rows))) ** self.dim, math.factorial(self.dim)
 
 
 Body = WeightedBox | DualBody
@@ -302,7 +316,7 @@ class IntLattice:
             raise DomainError("ragged basis")
         if len(rows) > n:
             raise DomainError("more rows than ambient dimension")
-        if rational_rank(rows) != len(rows):
+        if len(_eliminate(rows)[1]) != len(rows):
             raise DomainError("basis rows are linearly dependent")
         object.__setattr__(self, "basis", rows)
 
@@ -358,7 +372,10 @@ def lattice_from_string(text: str, den: int = 1) -> IntLattice:
 def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
     """{(n_1..n_d) : exists l with n_j = coeffs[j-1] * l mod m for all j}.
 
-    Generated by (a_1..a_d) and m e_j; returned in canonical HNF form.
+    Generated by (a_1..a_d) and m e_j; returned in canonical HNF form, for
+    callers whose answer is that form.  When a_d = 1 the rows a, m e_1, ...,
+    m e_{d-1} are already a basis, of determinant +-m^(d-1); the congruence
+    pipeline builds that one and leaves the reduction to LLL.
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
@@ -463,6 +480,24 @@ def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Rat
     return _lll(rows, qw, delta)[0]
 
 
+def _tile_bound(rows: Sequence[Sequence[int]], dk: int, body: Body, cap: int) -> int:
+    """A lower bound on #{v in L : body._gauge(v) <= cap}, origin included,
+    for L = Z rows of full rank, with dk the last Gram determinant of rows
+    under body.quad_weights() (see _gram_dets).
+
+    The translates v + P of the rows' parallelepiped P tile space, so the
+    tiles of the points of the body K cover K' = {x : x - P in K}, and
+    #(L cap K) covol >= vol(K').  Each body bounds vol(K') prod_i W_i from
+    below by N / F (_tile_volume), and covol^2 = dk / prod_i W_i^2, since
+    the integer weights of _gram_dets are the W_i^2.  So the count is at
+    least N / (F sqrt(dk)), returned rounded up, in integers.
+    """
+    num, f = body._tile_volume(rows, cap)
+    den2 = f * f * dk
+    c = math.isqrt(num * num // den2)
+    return c + (c * c * den2 < num * num)
+
+
 def _points(
     rows: Sequence[Sequence[int]],
     gs: tuple[Sequence[int], Sequence[Sequence[int]], int],
@@ -490,14 +525,18 @@ def _points(
     t_i starts at 0 while every coefficient above level i is 0, so of each
     pair +-v only the one whose last nonzero coefficient is positive is
     visited, and 0 is never returned.  The node budget counts the nodes of
-    this half tree inside the ellipsoid.  When shifted, the last row is a
-    coset shift with its coefficient fixed at 1: the points are
-    rows[-1] + Z rows[:-1], all visited.  Each level tries its t_i in
-    ascending order.
+    this half tree inside the ellipsoid.  Every point of the body is a leaf
+    of it, so for rows of full rank the search is priced before its first
+    node: at least _tile_bound // 2 nodes, one of each +-v (v != 0).
+    When shifted, the last row is a coset shift with its coefficient fixed
+    at 1: the points are rows[-1] + Z rows[:-1], all visited.  Each level
+    tries its t_i in ascending order.
     """
     d, lam, qscale = gs
     k = len(rows)
     n = len(rows[0])
+    if not shifted and k == n:
+        _charge("lattice enumeration", _tile_bound(rows, d[k], body, cap) // 2, "nodes", budget, "budget")
     dd = [d[i] * d[i + 1] for i in range(k)]
     total = math.prod(dd)
     part = [total // x for x in dd]

@@ -331,6 +331,20 @@ def test_vinogradov_huge_s_on_one_element_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # about 4 * 10^10 points of Z^2 in the box, and 2 * 10^9 or 2 * 10^12 in
+    # the enumeration box of each minima search
+    ["lattice", "count", "--basis", "1,0;0,1", "--box", "100000,100000"],
+    ["lattice", "minima", "--basis", "1,0;0,1", "--box", "1/1000000000,1"],
+    ["lattice", "minima", "--basis", "1000000000000,0;0,1", "--box", "1,1"],
+])
+def test_lattice_search_priced_before_its_first_node(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error: lattice enumeration") and "nodes" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_measure_samples_refused_at_once(capsys):
     t0 = time.perf_counter()
     rc, out, err = _run(capsys, [

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -373,3 +374,67 @@ def test_certificate_fields_round_trip():
     assert cert.monic[-1] == 1
     assert cert.ell == cert.short_vector[-1] % m
     assert all(1 <= a <= H and 1 <= b <= H for a, b in cert.solutions)
+
+
+# --- the pipeline's closed-form congruence basis ------------------------------
+
+import dataclasses  # noqa: E402
+
+from energia import eqcount  # noqa: E402
+from energia.lattice import congruence_lattice, shortest_vector_in  # noqa: E402
+
+
+def _closed_form_cases():
+    """Seeded (f, shift, H) in regime: d = 2..5 over prime, composite and 10^30
+    moduli, led by the README family (5, 3, 1) with shift 3 at m = 10^30."""
+    rng = random.Random(1807)
+    cases = [(PolyMod((5, 3, 1), 10**30), 3, H) for H in (2, 50)]
+    for d in (2, 3, 4, 5):
+        H = rng.randrange(2, 5)
+        m_min = 2
+        while not in_regime(d, m_min, H):
+            m_min *= 2
+        for m in (_prime_at_least(m_min + rng.randrange(m_min)), 6 * m_min + 6, 10**30):
+            for k in range(4):
+                lead = 1 if k % 2 == 0 else rng.randrange(2, m)
+                while math.gcd(lead, m) != 1:
+                    lead = rng.randrange(2, m)
+                f = PolyMod(tuple(rng.randrange(m) for _ in range(d)) + (lead,), m)
+                n0, m0 = rng.randrange(1, H + 1), rng.randrange(1, H + 1)
+                shift = (f(n0) - f(m0)) % m if k < 2 else rng.randrange(1, m)
+                if shift == 0:
+                    shift = 1
+                assert in_regime(d, m, H)
+                cases.append((f, shift, H))
+    return cases
+
+
+def test_closed_form_basis_matches_the_hnf_lattice(monkeypatch):
+    seen = []
+
+    def spy(lat, body):
+        seen.append((lat, body))
+        return shortest_vector_in(lat, body)
+
+    monkeypatch.setattr(eqcount, "shortest_vector_in", spy)
+    runs = []
+    for f, shift, H in _closed_form_cases():
+        seen.clear()
+        res = count_congruence(f, shift, H, certify=True)
+        assert res.method == "pipeline" and len(seen) == 1
+        lat, box = seen[0]
+        monic = res.certificate.monic
+        hnf = congruence_lattice(monic[1:], f.modulus)
+        assert lat.canonical() == hnf.canonical() == hnf
+        assert shortest_vector_in(hnf, box) == shortest_vector_in(lat, box) == res.certificate.short_vector
+        runs.append(res)
+    # a reference run whose lattice passes through congruence_lattice's HNF
+    monkeypatch.setattr(eqcount, "IntLattice", lambda basis: congruence_lattice(basis[0], basis[1][0]))
+    branches = set()
+    for (f, shift, H), res in zip(_closed_form_cases(), runs):
+        ref = count_congruence(f, shift, H, certify=True)
+        for fld in dataclasses.fields(res.certificate):
+            assert getattr(res.certificate, fld.name) == getattr(ref.certificate, fld.name), fld.name
+        assert res == ref
+        branches.add(res.certificate.branch)
+    assert branches >= {"divisor", "empty"} and any(res.certificate.bv for res in runs)

@@ -800,3 +800,77 @@ def test_fractional_measure_counts_each_sample_once_more():
     with pytest.raises(BudgetExceeded, match="fractional_measure: 2000002 steps"):
         fractional_measure([[1]], ["1/4"], samples=10**6 + 1)
     assert time.perf_counter() - t0 < 1.0
+
+
+# --- closed-form weights and the up-front price of a search ------------------
+
+from energia.lattice import _scaled, _tile_bound  # noqa: E402
+
+_weight_entry = st.one_of(_positive, st.integers(1, 10**6), st.just(1), st.just(Fraction(1)))
+
+
+@given(st.lists(_weight_entry, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_gauge_weights_match_the_scaled_fractions(cs):
+    # the weights come from each c's numerator and denominator; the reference
+    # builds w_i = 1/c_i (box) or c_i (cross-polytope) as Fractions and scales them
+    box, cross = WeightedBox(cs), DualBody(cs)
+    assert (list(box._weights), box._scale) == _scaled([1 / Fraction(c) for c in cs])
+    assert (list(cross._weights), cross._scale) == _scaled([Fraction(c) for c in cs])
+    for body in (box, cross):
+        assert all(type(w) is int and w > 0 for w in body._weights) and type(body._scale) is int
+
+
+def test_tile_bound_never_exceeds_the_count():
+    rng = random.Random(1806)
+    positive = 0
+    for k in range(60):
+        n = 2 + k % 3
+        dual = k % 2 == 1
+        lat = _random_lattice(n, rng)
+        cs = tuple(Fraction(rng.randrange(2, 5), rng.randrange(1, 3)) for _ in range(n))
+        body = DualBody(cs) if dual else WeightedBox(cs)
+        qw = body.quad_weights()
+        # |x_i| <= radius / c_i in the cross-polytope, radius * c_i in the box;
+        # the numerator scan is kept to at most 7^4 points
+        reach = [1 / c if dual else c for c in cs]
+        radius = rng.randrange(*{2: (4, 17), 3: (3, 8), 4: (2, 4)}[n]) / max(reach)
+        cap = radius.numerator * body._scale // radius.denominator
+        if dual:
+            norm = lambda vec: sum(c * abs(v) for v, c in zip(vec, cs))
+        else:
+            norm = lambda vec: max(abs(v) / c for v, c in zip(vec, cs))
+        count = len(oracles.points_by_scan(lat.basis, 1, norm, [int(radius * r) for r in reach], radius)) + 1
+        # the bound holds for any basis; _points passes the LLL-reduced one
+        for rows in (lat.basis, _lll(lat.basis, qw)[0]):
+            bound = _tile_bound(rows, _gram_dets(rows, qw)[0][-1], body, cap)
+            assert 0 <= bound <= count, (k, rows, cs, radius, bound, count)
+            positive += bound > 1
+    assert positive >= 40
+    # a cross-polytope in dimension 4 needs 2 cap > rho = 4 here: Z^4 and sum |x_i| <= 4
+    eye = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    count = len(oracles.points_by_scan(eye, 1, lambda vec: sum(map(abs, vec)), [4] * 4, 4)) + 1
+    assert _tile_bound(eye, 1, DualBody((1,) * 4), 4) == 11 <= count
+    # a sheared basis of Z^2: the box shrinks by 1 and 2 in its coordinates,
+    # the cross-polytope by rho = 3, and (20 - 3)^2 / 2! rounds up
+    sheared = ((1, 1), (0, 1))
+    assert _tile_bound(sheared, 1, WeightedBox((10, 10)), 10) == 19 * 18
+    assert _tile_bound(sheared, 1, DualBody((1, 1)), 10) == 145
+
+
+def test_lattice_search_priced_before_its_first_node():
+    # Z^2 in the box of half-width 10^5 holds (2 * 10^5 + 1)^2 points
+    box = WeightedBox((100000, 100000))
+    square = IntLattice(((1, 0), (0, 1)))
+    cross = DualBody((Fraction(1, 100000), Fraction(1, 100000)))
+    for lat, body in ((square, box), (IntLattice(((3, 1), (1, 2))), cross)):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="lattice enumeration: .* nodes exceed the budget"):
+            count_lattice_points(lat, body)
+        assert time.perf_counter() - t0 < 0.1
+    # the bound is (2 * 400 - 1)^2 = 638401 points, so the half tree needs
+    # 319200 nodes; the search itself would report budget + 1 = 100001
+    small = WeightedBox((400, 400))
+    assert _tile_bound(square.basis, 1, small, 400) == 638401
+    with pytest.raises(BudgetExceeded, match=r"lattice enumeration: 319200 nodes exceed the budget \(budget = 100000\)"):
+        count_lattice_points(square, small, budget=100000)
