@@ -305,6 +305,14 @@ def test_eqcount_budget_refuses_at_once(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_eqcount_eq_reads_a_small_box_off_its_table(capsys):
+    # 39998 shifts would need a root search each, over BRUTE_BUDGET; the
+    # table of 20000 squares and their diagonal is inside it
+    payload, _ = _run_json(capsys, ["eqcount", "eq", "--coeffs", "0,0,1", "--target", "0", "--H", "20000"])
+    assert payload["count"] == 20000
+    assert payload["solutions"][:2] == [[1, 1], [2, 2]]
+
+
 @pytest.mark.parametrize("argv", [
     # d < s: the third layer folds 80200 pair vectors with 400 single ones
     ["vinogradov", "--d", "2", "--s", "3", "--H", "400"],

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from energia.eqcount import (
     BRUTE_BUDGET,
+    _eq_by_shifts,
+    _eq_by_table,
     _roots_in,
     brute_congruence,
     count_congruence,
@@ -20,6 +22,7 @@ from energia.eqcount import (
 )
 from energia.ring import BudgetExceeded, DomainError, PolyMod, is_probable_prime
 
+import energia.eqcount as eqcount_module
 import oracles
 
 
@@ -147,6 +150,56 @@ def test_count_eq_divisor_search_matches_pair_oracle():
         assert (got, list(sols)) == (want, sorted(pairs)), (coeffs, target, H)
         assert count_eq(coeffs, target, H) == want
     assert count_eq((0, 0, 1), 720720, 2000) > 0
+
+
+def test_count_eq_routes_agree_with_the_pair_oracle(monkeypatch):
+    # the table route and the divisor route, each driven directly, and the
+    # plan between them, on seeded inputs: degrees 1-6 with leading
+    # coefficients of either sign, small and large coefficients, target 0, a
+    # linear f whose one shift holds a bulk diagonal, targets on and off the
+    # image, H from 1 to 300
+    taken = []
+
+    def spy(route):
+        real = getattr(eqcount_module, route)
+        return lambda *args: taken.append(route) or real(*args)
+
+    for route in ("_eq_by_table", "_eq_by_shifts"):
+        monkeypatch.setattr(eqcount_module, route, spy(route))
+    rng = random.Random(1919)
+    on_image = off_image = 0
+    for k in range(200):
+        d = 1 + k % 6
+        c = rng.choice((30, 10**8))
+        cs = tuple(rng.randint(-c, c) for _ in range(d)) + (rng.choice((-3, -2, -1, 1, 2, 3)),)
+        H = rng.choice((rng.randint(1, 12), rng.randint(1, 100), rng.randint(200, 300)))
+        kind = k // 6 % 4
+        if kind == 0:
+            target = 0
+        elif kind == 1 and d == 1:  # one shift t, and every m in the box with m + t in it
+            target = cs[1] * rng.randint(1 - H, H - 1)
+        elif kind == 1:
+            target = oracles.poly_int(cs, rng.randint(1, H)) - oracles.poly_int(cs, rng.randint(1, H))
+        else:
+            target = rng.randint(-(10**kind), 10**kind)
+        want, pairs = oracles.count_eq_pairs(cs, target, H)
+        on_image += target != 0 and want > 0
+        off_image += want == 0
+        ts = [t for t in range(1, H) if target % t == 0]  # every t when the target is 0
+        for collect, expect in ((False, want), (True, (want, tuple(sorted(pairs))))):
+            assert _eq_by_table(cs, target, H, collect) == expect, (cs, target, H)
+            assert _eq_by_shifts(cs, target, H, collect, ts) == expect, (cs, target, H)
+            assert count_eq(cs, target, H, collect) == expect, (cs, target, H)
+    # the plan took each route (two calls an input), so the inputs lie on
+    # both sides of its threshold
+    assert taken.count("_eq_by_table") >= 100 and taken.count("_eq_by_shifts") >= 20, taken
+    assert on_image >= 40 and off_image >= 40, (on_image, off_image)
+    # the table route charges its values, with target 0's known diagonal,
+    # before it tabulates f, and H + count before it collects the pairs
+    with pytest.raises(BudgetExceeded, match=f"count_eq: {2 * 750001} steps"):
+        _eq_by_table((0, 0, 1), 0, 750001, False)
+    with pytest.raises(BudgetExceeded, match=f"count_eq: {750100 + 750097} steps"):
+        _eq_by_table((0, 1), 3, 750100, True)
 
 
 def test_count_congruence_certified_at_large_moduli():
@@ -303,9 +356,13 @@ def test_count_eq_prices_its_scans_before_building_anything():
     assert count_eq((0, 1), 3, H) == H - 3
     with pytest.raises(BudgetExceeded, match="count_eq"):
         count_eq((0, 1), 3, H, collect=True)
-    # a scan of 10^8 - 1 shift candidates; a short scan of 19999 shifts,
-    # each of which would need a root search (the CLI tests pin the others)
-    for coeffs, target, H in (((0, 1), 0, 10**8), ((0, 0, 1), 0, 20000)):
+    # 39998 root searches would cost about 2.4e6 steps, but the table of
+    # 20000 values and its 20000 diagonal pairs cost 4e4: x^2 is injective
+    # on [1, H], so the count is the diagonal
+    assert count_eq((0, 0, 1), 0, 20000) == 20000
+    # over BRUTE_BUDGET on both routes: a scan of 10^8 - 1 or 2e6 - 1 shifts,
+    # or a table of 2e8 or 4e6 steps (the CLI tests pin the others)
+    for coeffs, target, H in (((0, 1), 0, 10**8), ((0, 0, 1), 0, 2 * 10**6)):
         t0 = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="count_eq"):
             count_eq(coeffs, target, H)
