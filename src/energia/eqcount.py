@@ -126,17 +126,16 @@ def count_eq(
     A shift t = n - m != 0 has |t| < H and divides the target.  The divisor
     route isolates the roots in the box of f(m+t) - f(m) - target for each
     shift (`_eq_by_shifts`); the table route reads the pairs off the value
-    index of f(1..H) (`_eq_by_table`).  Measured on CPython 3.11 for d <= 6,
-    a root search takes 5-45 µs, about 10d table values of 0.3-0.7 µs
-    (index included), and a divisor scan candidate about 55 ns.  So the plan
-    takes the table for target 0 (every t < H divides it) and when the two
-    shifts +-1 alone cost more; otherwise it charges and scans min(H,
-    sqrt|target|) candidates for the shifts, unfactored, and takes the
-    cheaper route.  Only the route that runs is then charged against
-    BRUTE_BUDGET, before it builds anything: the scan, d^2 log H steps a
-    root search and the diagonal or bulk pairs it collects; or H values (2H
-    for target 0, whose diagonal is known), then H + count before the pairs
-    are collected.  With collect=True also returns the sorted solution pairs.
+    index of f(1..H) (`_eq_by_table`).  Measured on CPython 3.11 for d <= 6, a
+    root search takes 5-45 µs, about 10d table values of 0.3-0.7 µs (index
+    included), and a divisor scan candidate about 55 ns.  So the plan takes
+    the table for target 0 (every t < H divides it) and when the shifts +-1
+    alone cost more; else it charges and scans min(H, sqrt|target|) candidates
+    for the shifts, unfactored, and takes the cheaper route.  Only that route
+    is then charged against BRUTE_BUDGET, before it builds anything: d^2 log H
+    steps a root search and the bulk pairs it collects; or H values (2H for
+    target 0, with its known diagonal), then H + count before collecting.
+    With collect=True also returns the sorted pairs.
     """
     cs = _clean_coeffs(coeffs, H)
     per_shift = 10 * (len(cs) - 1)  # table values that one root search costs
@@ -162,14 +161,11 @@ def _eq_by_table(cs: tuple[int, ...], target: int, H: int, collect: bool):
 
 
 def _eq_by_shifts(cs: tuple[int, ...], target: int, H: int, collect: bool, ts: Collection[int]):
-    """count_eq's divisor route over the shifts +-t, t in ts (t < H, t | target)."""
+    """count_eq's divisor route over the shifts +-t, t in ts (t < H, t | target != 0)."""
     d = len(cs) - 1
-    steps = H - 1 if target == 0 else min(H - 1, math.isqrt(abs(target)))
-    if collect and (target == 0 or d == 1):
-        steps += H  # the diagonal, or the bulk of a linear f's one shift
-    _charge("count_eq", steps + 2 * len(ts) * d * d * H.bit_length(), "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
-    sols = {(n, n) for n in range(1, H + 1)} if target == 0 and collect else set()
-    extra = H if target == 0 and not collect else 0  # counted, not collected: diagonal and bulk
+    bulk = H if collect and d == 1 else 0  # the pairs of a linear f's one shift
+    _charge("count_eq", bulk + 2 * len(ts) * d * d * H.bit_length(), "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
+    sols, extra = set(), 0  # extra: the bulk, counted, not collected
     for t in (s for u in ts for s in (u, -u)):
         eqn = [a - b for a, b in zip(poly_shift_coeffs(cs, t), cs)]
         eqn[0] -= target
@@ -369,7 +365,8 @@ def _certify(family: Sequence[tuple[int, int]], H: int, f: PolyMod, shift: int) 
 
 
 def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET):
-    """Reference count with solutions, read off the value index (`_value_index`).
+    """Reference count with solutions, read off the value index (`_value_index`)
+    that count_eq's table route shares: only the tests' oracles are independent.
 
     H lies in [1, m], so that the interval injects into Z/m.  Priced in
     steps: the H values, refused before f is evaluated, then the solutions,

@@ -185,10 +185,11 @@ def test_count_eq_routes_agree_with_the_pair_oracle(monkeypatch):
         want, pairs = oracles.count_eq_pairs(cs, target, H)
         on_image += target != 0 and want > 0
         off_image += want == 0
-        ts = [t for t in range(1, H) if target % t == 0]  # every t when the target is 0
+        ts = [t for t in range(1, H) if target % t == 0]
         for collect, expect in ((False, want), (True, (want, tuple(sorted(pairs))))):
             assert _eq_by_table(cs, target, H, collect) == expect, (cs, target, H)
-            assert _eq_by_shifts(cs, target, H, collect, ts) == expect, (cs, target, H)
+            if target:  # the plan sends target 0 to the table alone
+                assert _eq_by_shifts(cs, target, H, collect, ts) == expect, (cs, target, H)
             assert count_eq(cs, target, H, collect) == expect, (cs, target, H)
     # the plan took each route (two calls an input), so the inputs lie on
     # both sides of its threshold
