@@ -4,12 +4,12 @@ The central routine turns a congruence f(n) = f(m) + shift (mod m) over a
 short interval into a genuine integer equation: a short vector in the lattice
 of coefficient relations pins the power differences down to a single integer
 value, and the integer equation is then solved exactly inside the box by the
-route that count_eq's plan prices cheaper from measured costs: read every
-pair off the value index of f(1..H), which brute force builds mod m, or isolate
-the roots of one difference polynomial per shift n - m dividing the value, by
-differentiation and integer bisection, nothing factored.  Brute force always
-recounts; the two totals must agree or the call fails loudly.  Each route and
-the brute count are charged against BRUTE_BUDGET before they build anything.
+route that count_eq's plan prices cheaper: read every pair off the value index
+of f(1..H), which brute force builds mod m, or isolate the roots of one
+difference polynomial per shift n - m dividing the value, by differentiation
+and integer bisection, nothing factored.  Brute force always recounts; the two
+totals must agree or the call fails loudly.  Each piece of work has one price
+in table values, compared by the plan and charged against BRUTE_BUDGET first.
 """
 from __future__ import annotations
 
@@ -39,7 +39,11 @@ from .ring import (
     poly_table,
 )
 
-BRUTE_BUDGET = 1_500_000  # steps: values, divisor candidates, root-search evaluations, pairs
+# steps of one unit, a table value with its index entry (0.3-0.8 µs) or a pair; a scan
+# candidate (50-80 ns) is 1/_CANDIDATES step, a root search d * bit_length(H) steps
+# (medians: about 10d without a root, d * bit_length(H) + 16 with one); about 1 s in all
+BRUTE_BUDGET = 1_500_000
+_CANDIDATES = 8
 # a regime_constant walk makes about b = max_den.bit_length() comparisons, each
 # on (d + 1) b-bit powers; Karatsuba products of n bits grow as n^1.58, so b of
 # them cost about as much as one of n sqrt(b) bits, charged here; about 1 s
@@ -124,28 +128,28 @@ def count_eq(
     """#{(n, m) in [1,H]^2 : f(n) - f(m) = target} over the integers.
 
     A shift t = n - m != 0 has |t| < H and divides the target.  The divisor
-    route isolates the roots in the box of f(m+t) - f(m) - target for each
-    shift (`_eq_by_shifts`); the table route reads the pairs off the value
-    index of f(1..H) (`_eq_by_table`).  Measured on CPython 3.11 for d <= 6, a
-    root search takes 5-45 µs, about 10d table values of 0.3-0.7 µs (index
-    included), and a divisor scan candidate about 55 ns.  So the plan takes
-    the table for target 0 (every t < H divides it) and when the shifts +-1
-    alone cost more; else it charges and scans min(H, sqrt|target|) candidates
-    for the shifts, unfactored, and takes the cheaper route.  Only that route
-    is then charged against BRUTE_BUDGET, before it builds anything: d^2 log H
-    steps a root search and the bulk pairs it collects; or H values (2H for
-    target 0, with its known diagonal), then H + count before collecting.
-    With collect=True also returns the sorted pairs.
+    route scans min(H - 1, sqrt|target|) candidates for the shifts, unfactored,
+    and isolates the roots in the box of f(m+t) - f(m) - target for each
+    (`_eq_by_shifts`); the table route reads the pairs off the value index of
+    f(1..H) (`_eq_by_table`), the one route for target 0.  The plan prices
+    both in BRUTE_BUDGET's steps and takes the cheaper: H values, or the scan
+    and two root searches a shift (+-t).  It scans only if the scan and the
+    shifts +-1 cost no more than the table, and charges that, then the whole
+    route, each with a linear f's collected pairs, before the work: so count_eq
+    refuses only what the table route refuses.  collect=True adds the sorted pairs.
     """
     cs = _clean_coeffs(coeffs, H)
-    per_shift = 10 * (len(cs) - 1)  # table values that one root search costs
-    w, ts = abs(target), None
-    if w and 2 * per_shift <= H:
-        scan = min(H - 1, math.isqrt(w))  # the divisors up to sqrt|w|, then their cofactors
-        _charge("count_eq", scan, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
-        ts = {x for t in range(1, scan + 1) if w % t == 0 for x in (t, w // t) if x < H}
-    if ts is not None and 2 * len(ts) * per_shift <= H:
-        return _eq_by_shifts(cs, target, H, collect, ts)
+    d, w = len(cs) - 1, abs(target)
+    top = min(H - 1, math.isqrt(w))  # the divisors up to sqrt|w|, then their cofactors
+    scan, search = -(-top // _CANDIDATES), 2 * d * H.bit_length()
+    # a linear f's pairs all lie on its one shift target / a_1; both routes collect them
+    bulk = max(0, H - abs(target // cs[1])) if collect and d == 1 and target % cs[1] == 0 else 0
+    if w and (steps := scan + search) <= H:  # the shifts +-1 alone, against the table's H values
+        _charge("count_eq", steps + bulk, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
+        ts = {x for t in range(1, top + 1) if w % t == 0 for x in (t, w // t) if x < H}
+        if (steps := scan + len(ts) * search) <= H:
+            _charge("count_eq", steps + bulk, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
+            return _eq_by_shifts(cs, target, H, collect, ts)
     return _eq_by_table(cs, target, H, collect)
 
 
@@ -161,10 +165,7 @@ def _eq_by_table(cs: tuple[int, ...], target: int, H: int, collect: bool):
 
 
 def _eq_by_shifts(cs: tuple[int, ...], target: int, H: int, collect: bool, ts: Collection[int]):
-    """count_eq's divisor route over the shifts +-t, t in ts (t < H, t | target != 0)."""
-    d = len(cs) - 1
-    bulk = H if collect and d == 1 else 0  # the pairs of a linear f's one shift
-    _charge("count_eq", bulk + 2 * len(ts) * d * d * H.bit_length(), "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
+    """count_eq's divisor route over the shifts +-t, t in ts (t < H, t | target != 0), priced by count_eq."""
     sols, extra = set(), 0  # extra: the bulk, counted, not collected
     for t in (s for u in ts for s in (u, -u)):
         eqn = [a - b for a, b in zip(poly_shift_coeffs(cs, t), cs)]
@@ -311,7 +312,7 @@ class EqCountResult:
     """A counted congruence instance; methods must agree when both run."""
 
     count: int
-    method: str  # "divisor" | "brute" | "pipeline"
+    method: str  # "brute" | "pipeline"
     modulus: int
     H: int
     shift: int
@@ -320,7 +321,7 @@ class EqCountResult:
     declined: Optional[str] = None  # why the pipeline did not run
 
     def __post_init__(self) -> None:
-        if self.method not in ("divisor", "brute", "pipeline"):
+        if self.method not in ("brute", "pipeline"):
             raise DomainError(f"unknown method {self.method!r}")
 
 

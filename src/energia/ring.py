@@ -116,12 +116,8 @@ class Factorization:
 
 
 def eval_poly(f: PolyMod, x: int) -> int:
-    """Horner evaluation of f at x, reduced into [0, m)."""
-    m = f.modulus
-    acc = 0
-    for c in reversed(f.coeffs):
-        acc = (acc * x + c) % m
-    return acc
+    """f(x) reduced into [0, m), by one reduction of the exact integer value."""
+    return int_poly_eval(f.coeffs, x) % f.modulus
 
 
 def image_set(f: PolyMod, interval: Interval) -> set[int]:

@@ -7,10 +7,10 @@ packing is linear and injective on every vector compared.  J is the sum of
 the squared fibres of the histogram of s-tuple vectors: each multiset of s
 elements once with its orderings or, where that costs more (the sums of
 d = 1 collide), s layers of ordered tuples (`_fold`); count_Ts folds the
-value histogram mod m in layers.  The n^s tuples are charged against
-`budget` up front, and each fold against FOLD_BUDGET under the caller's
-stage name before it runs (the multisets as the ordered last layer).
-The genuinely naive 2s-fold loop lives in the test suite.
+value histogram mod m in layers, a one-key one c^(2s) in closed form.  The
+n^s tuples are charged against `budget` up front, and each fold against
+FOLD_BUDGET under the caller's stage name before it runs (the multisets as
+the ordered last layer).  The naive 2s-fold loop lives in the test suite.
 """
 from __future__ import annotations
 
@@ -178,6 +178,8 @@ def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGE
     _check_ds(1, s)
     _charge("count_Ts", _tuples(interval.H, s, budget), "hash insertions", budget, "budget")
     hist = Counter(poly_values(f, interval))
+    if len(hist) == 1:  # s folds of one key c times leave one key c^s times
+        return next(iter(hist.values())) ** (2 * s)
     layer: Counter[int] = Counter({0: 1})
     for _ in range(s):
         layer = _fold(layer, hist, f.modulus, "count_Ts")

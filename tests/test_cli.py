@@ -331,6 +331,8 @@ def test_vinogradov_layer_fold_refuses_at_once(capsys, argv):
     # a one-element set has one multiset however large s is
     ["vinogradov", "--d", "2", "--s", "3000000", "--set", "5"],
     ["vinogradov", "--d", "2", "--s", "1000000", "--H", "1", "--shifts", "0,0"],
+    # a one-value histogram: T_s = 1^(2s) in closed form, not 10^8 folds
+    ["vinogradov", "--d", "1", "--s", "100000000", "--poly", "0,1", "--modulus", "7", "--H", "1"],
 ])
 def test_vinogradov_huge_s_on_one_element_at_once(capsys, argv):
     t0 = time.perf_counter()

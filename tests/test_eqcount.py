@@ -370,6 +370,67 @@ def test_count_eq_prices_its_scans_before_building_anything():
         assert time.perf_counter() - t0 < 0.1
 
 
+def test_count_eq_answers_the_many_divisor_and_prime_targets_at_once():
+    # x^6 + x with a target of 3372 divisors below H: 6744 root searches at
+    # 120 steps and a scan of 981713 candidates, cheaper than the 10^6 table;
+    # x^2 with a prime target: a scan of 3162277 candidates, then the shifts
+    # +-1 (the table of 10^7 values is over BRUTE_BUDGET)
+    for coeffs, target, H in (((0, 1, 0, 0, 0, 0, 1), 963761198400, 10**6), ((0, 0, 1), 10**13 + 37, 10**7)):
+        t0 = time.perf_counter()
+        assert count_eq(coeffs, target, H) == 0
+        assert time.perf_counter() - t0 < 1.0, (coeffs, target, H)
+
+
+def test_count_eq_charges_a_linear_f_the_pairs_it_collects():
+    # x's one shift t = H - 1 holds the single pair (H, 1): the table would
+    # charge H + 1 steps, and the divisor route its scan and searches plus 1,
+    # not plus H (which would be over BRUTE_BUDGET)
+    H = BRUTE_BUDGET - 100
+    assert count_eq((0, 1), H - 1, H, collect=True) == (1, ((H, 1),))
+
+
+def test_count_eq_refuses_only_what_the_table_refuses(monkeypatch):
+    # the plan charges the scan and the divisor route only when they cost no
+    # more than the table's H values, so count_eq raises BudgetExceeded only
+    # where _eq_by_table raises too, and gives its answer elsewhere: seeded
+    # degrees 1-6, targets on the image, off it and with many divisors, collect
+    # on and off, boxes up to 2 * 10^4, then one large box a degree with the
+    # 3372 divisors of 963761198400 below 10^6 (boxes past BRUTE_BUDGET for
+    # d <= 3, where the table refuses)
+    shifts = []
+    real = eqcount_module._eq_by_shifts
+    monkeypatch.setattr(eqcount_module, "_eq_by_shifts", lambda *args: shifts.append(args[2]) or real(*args))
+    rng = random.Random(2020)
+    many = (720720, 3603600, 73513440, 6983776800, 963761198400, 2**20 * 3**5)
+    cases = []
+    for k in range(120):
+        d = 1 + k % 6
+        cs = tuple(rng.randint(-30, 30) for _ in range(d)) + (rng.choice((-2, -1, 1, 3)),)
+        H = rng.choice((rng.randint(1, 300), rng.randint(300, 20000)))
+        kind = k // 6 % 3
+        if kind == 0:
+            target = oracles.poly_int(cs, rng.randint(1, H)) - oracles.poly_int(cs, rng.randint(1, H))
+        elif kind == 1:
+            target = rng.choice((-1, 1)) * rng.randint(1, 10**12)
+        else:
+            target = rng.choice((-1, 1)) * rng.choice(many) * rng.choice((1, 1, 7, 11, 30))
+        cases.append((cs, target, H, k % 4 >= 2))
+    for d in range(1, 7):
+        cs = tuple(rng.randint(-30, 30) for _ in range(d)) + (1,)
+        H = rng.randint(5 * 10**5, 10**6) if d >= 4 else rng.randint(15 * 10**5 + 1, 2 * 10**6)
+        cases.append((cs, rng.choice((-1, 1)) * 963761198400, H, d % 2 == 0))
+    refused = 0
+    for cs, target, H, collect in cases:
+        try:
+            want = _eq_by_table(cs, target, H, collect)
+        except BudgetExceeded:
+            refused += 1
+            continue
+        assert count_eq(cs, target, H, collect) == want, (cs, target, H, collect)
+    # the divisor route ran, on large boxes too, and the table refused some
+    assert len(shifts) >= 20 and max(shifts) >= 10**5 and refused >= 3, (len(shifts), refused)
+
+
 def test_count_congruence_pipeline_in_regime():
     rng = random.Random(303)
     c2 = regime_constant(2)
@@ -432,6 +493,9 @@ def test_certificate_fields_round_trip():
     assert cert.monic[-1] == 1
     assert cert.ell == cert.short_vector[-1] % m
     assert all(1 <= a <= H and 1 <= b <= H for a, b in cert.solutions)
+    # "divisor" is a pipeline branch, not a method count_congruence returns
+    with pytest.raises(DomainError, match="unknown method"):
+        type(res)(res.count, "divisor", m, H, shift, 2)
 
 
 # --- the pipeline's closed-form congruence basis ------------------------------

@@ -234,4 +234,8 @@ def test_multisets_are_charged_as_the_last_layer(monkeypatch, fn, stage, args, p
 def test_one_element_set_answers_any_s_at_once():
     t0 = time.perf_counter()
     assert count_J(2, 2 * 10**7, [5]) == count_I(3, 10**6, 1, (0, 0, 0)) == 1
+    # T_s = c^(2s) for a histogram of one value taken c times, not s folds
+    assert count_Ts(PolyMod((0, 1), 7), Interval(1), 10**9) == 1
+    f = PolyMod((0, -1, 1), 2)  # x(x - 1) is 0 mod 2 at x = 1 and 2
+    assert [count_Ts(f, Interval(2), s) for s in (1, 2, 3)] == [4, 16, 64]
     assert time.perf_counter() - t0 < 1.0
