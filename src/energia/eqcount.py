@@ -21,14 +21,7 @@ from fractions import Fraction
 from typing import Collection, Optional, Sequence, Union
 
 from .energy import _afford, _energy, _fold_self, _squares
-from .lattice import (
-    IntLattice,
-    NullspaceRecord,
-    WeightedBox,
-    _independent,
-    bv_small_solutions,
-    shortest_vector_in,
-)
+from .lattice import NullspaceRecord, WeightedBox, _independent, _svp, bv_small_solutions
 from .ring import (
     DomainError,
     PolyMod,
@@ -389,17 +382,20 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
 def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) -> PipelineCertificate:
     """The constructive count.  For the monic coefficients a (a_d = 1) the
     congruence lattice {l a + m Z^d} has the basis a, m e_1, ..., m e_{d-1},
-    built here in closed form: shortest_vector_in returns the same least
-    vector from any basis of the lattice, after its one LLL."""
+    of determinant +-m^(d-1), built here in closed form.  The box
+    |b_j| <= m / (100 d H^j) has the integer weights 100 d H^j over m, so
+    _svp takes both as integers, with no rank check and no Fraction, and
+    returns the least vector that shortest_vector_in would return for the
+    same lattice and box: the answer does not depend on the basis."""
     m = f.modulus
     d = f.degree
     u = inv_mod(f.coeffs[-1], m)
     monic = tuple(u * c % m for c in f.coeffs)
     lam = u * (shift % m) % m
 
-    lat = IntLattice((monic[1:],) + tuple(tuple(m * (i == j) for j in range(d)) for i in range(d - 1)))
-    box = WeightedBox(tuple(Fraction(m, 100 * d * H**j) for j in range(1, d + 1)))
-    b = shortest_vector_in(lat, box)
+    rows = [monic[1:]] + [tuple(m * (i == j) for j in range(d)) for i in range(d - 1)]
+    box = WeightedBox._of([100 * d * H**j for j in range(1, d + 1)], m)
+    b = _svp(rows, box, box._scale)
     if b is None:
         raise DomainError("no short relation found inside a certified box")  # unreachable
     if b[-1] == 0:

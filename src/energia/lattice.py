@@ -8,21 +8,23 @@ comparisons.  The integer linear algebra is one Hermite normal form loop
 (a unimodular transform is read off the HNF of [M | I], and mahler_basis
 takes its whole filtration from one such transform) and one fraction-free
 elimination.  Each norm body keeps one integer gauge (integer weights over
-one common scale), and every search for lattice points (points within a
-radius, the shortest vector, the minima, the coset search of mahler_basis)
-is one Fincke-Pohst enumeration, _points, in integers: it reads the Gram
-determinants and scaled coefficients of integral LLL (the coset search
-takes the same integer Gram-Schmidt unreduced), ranges each level exactly
-by an integer square root, filters by the integer gauge, and visits one of
-each pair +-v; a full-rank search is priced before its first node by a
-tile lower bound on its points.  Fractions are built only for the norms
-reported.  Floating
+one common scale).  The shortest vector of a rank-2 lattice in the plane is
+an exact generalized Gauss reduction, _gauss; every other search for lattice
+points (points within a radius, the shortest vector, the minima, the coset
+search of mahler_basis) is one Fincke-Pohst enumeration, _points, in
+integers: it reads the Gram determinants and scaled coefficients of integral
+LLL (the coset search takes the same integer Gram-Schmidt unreduced), ranges
+each level exactly by an integer square root, filters by the integer gauge,
+and visits one of each pair +-v; a full-rank search is priced before its
+first node by a tile lower bound on its points.  Fractions are built only
+for the norms reported.  Floating
 point appears only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -222,9 +224,22 @@ class _Gauge:
         if not vals or any(c <= 0 for c in vals):
             raise DomainError(f"{fld.name.replace('_', '-')} must be positive rationals")
         object.__setattr__(self, fld.name, vals)
-        num, den = zip(*(self._weight(c) for c in vals))  # w_i = num_i / den_i in lowest terms
+        self._set_weights(*zip(*(self._weight(c) for c in vals)))
+
+    def _set_weights(self, num: Sequence[int], den: Sequence[int]) -> None:
+        # w_i = num_i / den_i in lowest terms
         object.__setattr__(self, "_scale", math.lcm(*den))
         object.__setattr__(self, "_weights", tuple(p * (self._scale // q) for p, q in zip(num, den)))
+
+    @classmethod
+    def _of(cls, weights: Sequence[int], scale: int) -> "Body":
+        """The body with w_i = weights[i] / scale, from positive integers, for
+        private callers: no Fraction is built and the field is left unset, so
+        only the gauge and the methods that _svp reads work on it."""
+        body = object.__new__(cls)
+        gs = [math.gcd(w, scale) for w in weights]
+        body._set_weights([w // g for w, g in zip(weights, gs)], [scale // g for g in gs])
+        return body
 
     @property
     def dim(self) -> int:
@@ -375,7 +390,8 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
     Generated by (a_1..a_d) and m e_j; returned in canonical HNF form, for
     callers whose answer is that form.  When a_d = 1 the rows a, m e_1, ...,
     m e_{d-1} are already a basis, of determinant +-m^(d-1); the congruence
-    pipeline builds that one and leaves the reduction to LLL.
+    pipeline builds that one in integers and hands it to _svp, which
+    reduces it.
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
@@ -538,8 +554,10 @@ def _points(
     if not shifted and k == n:
         _charge("lattice enumeration", _tile_bound(rows, d[k], body, cap) // 2, "nodes", budget, "budget")
     dd = [d[i] * d[i + 1] for i in range(k)]
-    total = math.prod(dd)
-    part = [total // x for x in dd]
+    # P_i from prefix and suffix products: no division of the huge P
+    pre = list(itertools.accumulate(dd, operator.mul, initial=1))
+    suf = list(itertools.accumulate(reversed(dd), operator.mul, initial=1))[::-1]
+    total, part = pre[-1], [x * y for x, y in zip(pre, suf[1:])]
     out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     t = [0] * k
     nodes = 0
@@ -657,24 +675,69 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
     """Numerator of a nonzero lattice vector of body-norm <= 1, of least norm
     (ties broken lexicographically after sign normalization), or None.
 
-    LLL runs once; enumeration then goes only out to the least body-norm of
-    a reduced basis row (or 1, if that is smaller), since the shortest vector
-    and every vector tied with it lie inside that radius.  The search and the
-    comparison of norms run on the body's integer gauge.  This stays on LLL
-    plus Fincke-Pohst, not a search over the Hermite normal form: the
-    congruence pipeline's boxes are about m/H wide in the HNF's first
-    coordinate, so a tree that ranges each HNF coordinate in turn would be
-    astronomically large there, while the reduced basis makes the ellipsoid
-    tree small.
+    Rank 2 in the plane takes an exact generalized Gauss reduction, and
+    every other rank LLL plus Fincke-Pohst, both on the body's integer gauge
+    (see _svp).
     """
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
-    rows, gs = _lll(lat.basis, body.quad_weights())
-    cap = min([body._scale * lat.den] + [body._gauge(r) for r in rows])
-    pts = _points(rows, gs, body, cap, budget)
-    if not pts:
-        return None
-    return min((g, _canonical_sign(v)) for g, v, _ in pts)[1]
+    return _svp(lat.basis, body, body._scale * lat.den, budget)
+
+
+def _svp(rows: Sequence[Sequence[int]], body: Body, cap: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
+    """The nonzero v of the lattice Z rows (rows independent) least by
+    (gauge, _canonical_sign(v)), sign-normalized, or None past cap: the SVP
+    core of shortest_vector_in and of the congruence pipeline.
+
+    Rank 2 in the plane is _gauss, which needs no node budget.  Otherwise LLL
+    runs once and Fincke-Pohst goes out to the least gauge of a reduced row
+    (or cap), where the shortest vector and every vector tied with it lie;
+    not a search over the HNF, whose first coordinate is about m/H wide in
+    the pipeline's boxes.
+    """
+    if len(rows) == len(rows[0]) == 2:
+        (g1, b1), (g2, b2) = _gauss(rows, body)
+        vs = [b1]
+        if g2 == g1:
+            # b1, b2 attain the two minima, so a least v = x b1 + y b2 has
+            # |x|, |y| <= 2 (Cramer's rule and Minkowski's second theorem);
+            # a flat face can hold one that b1 +- b2 misses, such as 2 b1 - b2
+            vs += [tuple(x * u + y * w for u, w in zip(b1, b2)) for y in (1, 2) for x in range(-2, 3)]
+        pts = [(body._gauge(v), v) for v in vs]
+    else:
+        red, gs = _lll(rows, body.quad_weights())
+        cap = min([cap] + [body._gauge(r) for r in red])
+        pts = [(g, v) for g, v, _ in _points(red, gs, body, cap, budget)]
+    best = min(((g, _canonical_sign(v)) for g, v in pts if g <= cap), default=None)
+    return best[1] if best else None
+
+
+def _gauss(rows: Sequence[Sequence[int]], body: Body) -> list[tuple[int, tuple[int, int]]]:
+    """[(gauge(b1), b1), (gauge(b2), b2)] for a basis of the rank-2 lattice
+    Z rows in the plane with gauge(b1) <= gauge(b2) <= gauge(b2 - mu b1) for
+    every integer mu, so at the two successive minima: the generalized Gauss
+    reduction (Kaib and Schnorr, J. Algorithms 21, 1996), exact for any norm.
+
+    Each round takes b2 - mu b1 at a least gauge, then swaps while the gauge
+    shrinks.  For b1 = (q, s), b2 = (p, r) and weights A, B that gauge is
+    convex and piecewise linear in mu, with breakpoints p/q, r/s and, for
+    the box, (pA -+ rB) / (qA -+ sB), so a least mu is the floor or ceiling
+    of one of them; a walk in mu would crawl on the pipeline's skewed boxes.
+    """
+    a, b = body._weights
+    agg = body._agg
+
+    def keyed(v: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        return agg((abs(v[0]) * a, abs(v[1]) * b)), v
+
+    low, high = sorted(keyed(tuple(r)) for r in rows)
+    while True:
+        (q, s), (p, r) = low[1], high[1]
+        cuts = ((p, q), (r, s), (p * a - r * b, q * a - s * b), (p * a + r * b, q * a + s * b))
+        high = min(keyed((p - mu * q, r - mu * s)) for mu in {n // k + e for n, k in cuts if k for e in (0, 1)})
+        if high[0] >= low[0]:
+            return [low, high]
+        low, high = high, low
 
 
 # ---------------------------------------------------------------------------

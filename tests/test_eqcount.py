@@ -503,7 +503,7 @@ def test_certificate_fields_round_trip():
 import dataclasses  # noqa: E402
 
 from energia import eqcount  # noqa: E402
-from energia.lattice import congruence_lattice, shortest_vector_in  # noqa: E402
+from energia.lattice import IntLattice, WeightedBox, _svp, congruence_lattice, shortest_vector_in  # noqa: E402
 
 
 def _closed_form_cases():
@@ -531,29 +531,40 @@ def _closed_form_cases():
     return cases
 
 
+def _fraction_box(d, m, H):
+    """The pipeline's box |b_j| <= m / (100 d H^j), built from Fractions."""
+    return WeightedBox(tuple(Fraction(m, 100 * d * H**j) for j in range(1, d + 1)))
+
+
 def test_closed_form_basis_matches_the_hnf_lattice(monkeypatch):
     seen = []
 
-    def spy(lat, body):
-        seen.append((lat, body))
-        return shortest_vector_in(lat, body)
+    def spy(rows, body, cap):
+        seen.append((rows, body, cap))
+        return _svp(rows, body, cap)
 
-    monkeypatch.setattr(eqcount, "shortest_vector_in", spy)
+    monkeypatch.setattr(eqcount, "_svp", spy)
     runs = []
     for f, shift, H in _closed_form_cases():
         seen.clear()
         res = count_congruence(f, shift, H, certify=True)
         assert res.method == "pipeline" and len(seen) == 1
-        lat, box = seen[0]
+        rows, body, cap = seen[0]
+        lat = IntLattice(tuple(map(tuple, rows)))
+        box = _fraction_box(f.degree, f.modulus, H)
+        # the integer box is the Fraction box's gauge, and cap its norm 1
+        assert (body._weights, body._scale, cap) == (box._weights, box._scale, box._scale)
         monic = res.certificate.monic
         hnf = congruence_lattice(monic[1:], f.modulus)
         assert lat.canonical() == hnf.canonical() == hnf
         assert shortest_vector_in(hnf, box) == shortest_vector_in(lat, box) == res.certificate.short_vector
         runs.append(res)
-    # a reference run whose lattice passes through congruence_lattice's HNF
-    monkeypatch.setattr(eqcount, "IntLattice", lambda basis: congruence_lattice(basis[0], basis[1][0]))
+    # a reference run whose SVP is shortest_vector_in on congruence_lattice's
+    # HNF and the Fraction box
     branches = set()
     for (f, shift, H), res in zip(_closed_form_cases(), runs):
+        box = _fraction_box(f.degree, f.modulus, H)
+        monkeypatch.setattr(eqcount, "_svp", lambda rows, body, cap: shortest_vector_in(congruence_lattice(rows[0], rows[1][0]), box))
         ref = count_congruence(f, shift, H, certify=True)
         for fld in dataclasses.fields(res.certificate):
             assert getattr(res.certificate, fld.name) == getattr(ref.certificate, fld.name), fld.name

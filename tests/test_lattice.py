@@ -470,6 +470,95 @@ def test_shortest_vector_matches_full_radius_oracle():
     assert found >= 200
 
 
+from energia.lattice import _canonical_sign, _gauss, _svp  # noqa: E402
+from energia.ring import is_probable_prime  # noqa: E402
+
+
+def _svp_by_enumeration(rows, body, cap):
+    """_svp's answer from the general path at any rank: LLL, then Fincke-Pohst."""
+    red, gs = _lll(rows, body.quad_weights())
+    pts = _points(red, gs, body, min([cap] + [body._gauge(r) for r in red]), DEFAULT_NODE_BUDGET)
+    return min(((g, _canonical_sign(v)) for g, v, _ in pts), default=(0, None))[1]
+
+
+def test_gauss_matches_the_general_search():
+    rng = random.Random(2101)
+    seen = {"cases": 0, "none": 0, "tie": 0, "wide": 0, "prime": 0}
+    for k in range(3600):
+        m = rng.randrange(2, (20, 60, 10**4, 10**9)[k % 4])
+        if k % 8 == 3:
+            while not is_probable_prime(m):
+                m += 1
+        H = rng.randrange(1, 12 if m > 1000 else 4)
+        if k % 5 < 3:
+            # the pipeline's lattice at d = 2, its box (c = 200) or a wider
+            # one, or a cross-polytope on the same weights
+            c = (200, 4, 1)[k // 5 % 3]
+            seen["prime"] += is_probable_prime(m)
+            rows = [(rng.randrange(m), 1), (m, 0)]
+            body = (WeightedBox, DualBody)[k % 5 % 2]._of([c * H, c * H * H], m)
+        else:  # a small basis and a body of Fractions, often of equal widths, so ties are common
+            rows = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)]
+            if det_int(rows) == 0:
+                continue
+            cs = tuple(Fraction(rng.randrange(1, 13), rng.randrange(1, 4)) for _ in range(2))
+            cs = cs if k % 3 == 0 else cs[:1] * 2
+            body = WeightedBox(cs) if k % 2 else DualBody(tuple(1 / c for c in cs))
+        want = _svp_by_enumeration(rows, body, body._scale)
+        assert _svp(rows, body, body._scale) == want
+        # b1, b2 is a basis at the two successive minima, and each least
+        # vector is x b1 + y b2 with |x|, |y| <= 2, the candidates of _svp
+        (g1, b1), (g2, b2) = _gauss(rows, body)
+        det = b1[0] * b2[1] - b1[1] * b2[0]
+        assert g1 <= g2 and abs(det) == abs(det_int(rows))
+        red, gs = _lll(rows, body.quad_weights())
+        pts = _points(red, gs, body, g2, DEFAULT_NODE_BUDGET)
+        assert min(g for g, _, _ in pts) == g1
+        assert min(g for g, v, _ in pts if v[0] * b1[1] != v[1] * b1[0]) == g2
+        for g, v, _ in pts:
+            if g == g1:
+                x, y = (v[0] * b2[1] - v[1] * b2[0]) // det, (b1[0] * v[1] - b1[1] * v[0]) // det
+                assert max(abs(x), abs(y)) <= 2 and (y == 0 or g1 == g2)
+                seen["wide"] += max(abs(x), abs(y)) == 2 and y != 0
+        seen["cases"] += 1
+        seen["none"] += want is None
+        seen["tie"] += g1 == g2
+    # over 3000 lattices, None and an answer each in over 1000; ties at the
+    # minimum, least vectors past b1 +- b2 (wide) and prime moduli
+    assert seen["cases"] >= 3000 and seen["cases"] - seen["none"] >= 1000 and seen["none"] >= 1000, seen
+    assert seen["tie"] >= 200 and seen["wide"] >= 5 and seen["prime"] >= 400, seen
+
+
+def test_integer_svp_matches_the_fraction_box():
+    """The pipeline's entry: _svp on the closed-form basis and the box of
+    integer weights gives shortest_vector_in's vector on the IntLattice and
+    the Fraction box, so the skipped rank check and Fraction box change nothing."""
+    rng = random.Random(2102)
+    nones = 0
+    for k in range(120):
+        d = 2 + k % 4
+        H = rng.randrange(1, 5)
+        m_min = 2
+        while not in_regime(d, m_min, H):
+            m_min *= 2
+        m = (_next_prime(m_min + rng.randrange(m_min)), 6 * m_min + 6, 10**30, rng.randrange(2, max(3, m_min // 8)))[k // 4 % 4]
+        rows = [tuple(rng.randrange(m) for _ in range(d - 1)) + (1,)] + [tuple(m * (i == j) for j in range(d)) for i in range(d - 1)]
+        body, box = WeightedBox._of([100 * d * H**j for j in range(1, d + 1)], m), _pipeline_box(d, m, H)
+        assert (body._weights, body._scale) == (box._weights, box._scale)
+        want = shortest_vector_in(IntLattice(tuple(rows)), box)
+        assert _svp(rows, body, body._scale) == want
+        if m < 8 * m_min:  # few points in the box: the oracle scans them all
+            assert want == oracles.shortest_vector_full_radius(IntLattice(tuple(rows)), box)
+        nones += want is None
+    assert nones >= 10
+
+
+def _next_prime(n):
+    while not is_probable_prime(n):
+        n += 1
+    return n
+
+
 # --- minima ------------------------------------------------------------------
 
 
