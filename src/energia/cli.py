@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import pathlib
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import bounds, charsum, eqcount, energy, lattice, ring, sweep, vinogradov
+from . import charsum, eqcount, energy, lattice, ring, sweep, vinogradov
 
 
 _PLAIN = (int, str, float, type(None))
@@ -201,17 +202,17 @@ def _cmd_charsum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = sweep.parse_config(fh.read())
-    else:
-        cfg = sweep.SweepConfig()
+    try:
+        cfg = sweep.parse_config(pathlib.Path(args.config).read_text("utf-8")) if args.config else sweep.SweepConfig()
+        # opened before the sweep, so a bad path is refused before any work
+        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ring.DomainError(f"cannot use a verify file: {exc}") from exc
     if args.seed is not None:
         # one knob feeds every cell RNG
         cfg = dataclasses.replace(cfg, master=str(args.seed))
-    report = sweep.run_sweep(cfg, workers=args.workers)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
+        report = sweep.run_sweep(cfg, workers=args.workers)
         if args.emit == "csv":
             sweep.write_csv(report, out)
         else:

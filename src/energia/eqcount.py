@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Optional, Sequence, Union
+from typing import Collection, Optional, Sequence
 
 from .energy import _afford, _energy, _fold_self, _squares
 from .lattice import NullspaceRecord, WeightedBox, _independent, _svp, bv_small_solutions

@@ -7,24 +7,23 @@ small-nullspace constructor proves its product bound with integer
 comparisons.  The integer linear algebra is one Hermite normal form loop
 (a unimodular transform is read off the HNF of [M | I], and mahler_basis
 takes its whole filtration from one such transform) and one fraction-free
-elimination.  Each norm body keeps one integer gauge (integer weights over
-one common scale).  The shortest vector of a rank-2 lattice in the plane is
+elimination.  Each norm body keeps one integer gauge (integer weights W_i
+over one common scale) and the integer form (W_i^2) that LLL and the
+enumeration take.  The shortest vector of a rank-2 lattice in the plane is
 an exact generalized Gauss reduction, _gauss; every other search for lattice
 points (points within a radius, the shortest vector, the minima, the coset
 search of mahler_basis) is one Fincke-Pohst enumeration, _points, in
-integers: it reads the Gram determinants and scaled coefficients of integral
-LLL (the coset search takes the same integer Gram-Schmidt unreduced), ranges
-each level exactly by an integer square root, filters by the integer gauge,
-and visits one of each pair +-v; a full-rank search is priced before its
-first node by a tile lower bound on its points.  Fractions are built only
-for the norms reported.  Floating
-point appears only in the Monte Carlo estimate of fractional_measure.
+integers: over the data of integral LLL (the coset search's unreduced), it
+ranges each level by an integer square root of a bound scaled level by
+level, filters by the integer gauge, and visits one of each pair +-v; a
+full-rank search is priced first by a tile lower bound on its points.
+Fractions are built only for the norms reported, and floats only in the
+Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -132,9 +131,9 @@ def _eliminate(rows: Sequence[Sequence[int]], ncols: Optional[int] = None) -> tu
     return a, pivots, sign
 
 
-def _scaled(vec: Sequence[Union[int, Fraction]]) -> tuple[list[int], int]:
-    """(L * vec as integers, L), L the lcm of the entries' denominators."""
-    fr = [x if isinstance(x, int) else Fraction(x) for x in vec]
+def _scaled(vec: Sequence[RatLike]) -> tuple[list[int], int]:
+    """(L * vec as integers, L), L the lcm of the denominators, via to_fraction."""
+    fr = [x if isinstance(x, int) else to_fraction(x) for x in vec]
     lcm = math.lcm(*(x.denominator for x in fr))
     return [x.numerator * (lcm // x.denominator) for x in fr], lcm
 
@@ -213,7 +212,7 @@ class _Gauge:
     agg_i |x_i| w_i, agg max or sum, for positive rationals w_i; it keeps the
     integers W_i = S w_i, S the lcm of the denominators of the w_i, so the
     norm of a numerator vector v is the integer agg_i |v_i| W_i over S, and
-    the quadratic weights W_i^2 / S^2 have the lcm S^2.  Each body names
+    its integer form _form = (W_i^2) is S^2 quad_weights().  Each body names
     its agg and its weight w_i as a function of its one field's c_i, given
     as w_i's numerator and denominator (c_i's, swapped for w_i = 1/c_i), so
     W_i and S come from integers alone."""
@@ -227,9 +226,10 @@ class _Gauge:
         self._set_weights(*zip(*(self._weight(c) for c in vals)))
 
     def _set_weights(self, num: Sequence[int], den: Sequence[int]) -> None:
-        # w_i = num_i / den_i in lowest terms
-        object.__setattr__(self, "_scale", math.lcm(*den))
-        object.__setattr__(self, "_weights", tuple(p * (self._scale // q) for p, q in zip(num, den)))
+        # w_i = num_i / den_i in lowest terms; set past the frozen guard
+        scale = math.lcm(*den)
+        weights = tuple(p * (scale // q) for p, q in zip(num, den))
+        vars(self).update(_scale=scale, _weights=weights, _form=tuple([w * w for w in weights]))
 
     @classmethod
     def _of(cls, weights: Sequence[int], scale: int) -> "Body":
@@ -254,7 +254,7 @@ class _Gauge:
         return Fraction(self._gauge(num), lcm * self._scale)
 
     def quad_weights(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w * w, self._scale**2) for w in self._weights)
+        return tuple(Fraction(f, self._scale**2) for f in self._form)
 
 
 @dataclass(frozen=True)
@@ -410,11 +410,10 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
 # exact reduction and enumeration
 
 
-def _gram_dets(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]) -> tuple[list[int], list[list[int]], int]:
-    """(d, lam, S): integral Gram-Schmidt under S * qw, S the lcm of qw's
-    denominators (Cohen, Alg. 2.6.7, step 2): Gram determinants d_0 = 1,
-    d_{i+1} = d_i S bn_i, and lam[i][j] = d_{j+1} mu_ij for j < i, else 0."""
-    w, scale = _scaled(qw)
+def _gram_dets(rows: Sequence[Sequence[int]], w: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """(d, lam): integral Gram-Schmidt under the integer diagonal form w
+    (Cohen, Alg. 2.6.7, step 2): Gram determinants d_0 = 1,
+    d_{i+1} = d_i bn_i, and lam[i][j] = d_{j+1} mu_ij for j < i, else 0."""
     k = len(rows)
     d = [1] + [0] * k
     lam = [[0] * k for _ in range(k)]
@@ -430,12 +429,12 @@ def _gram_dets(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]) -> tuple[l
                 raise DomainError("rows are linearly dependent, or the form is not positive definite on them")
             else:
                 d[i + 1] = u
-    return d, lam, scale
+    return d, lam
 
 
-def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)):
-    """(basis, (d, lam, S)): exact LLL under qw, with the integral
-    Gram-Schmidt data of _gram_dets for the returned basis.
+def _lll(rows: Sequence[Sequence[int]], w: Sequence[int], delta: Fraction = Fraction(3, 4)):
+    """(basis, (d, lam)): exact LLL under the integer diagonal form w, with
+    the integral Gram-Schmidt data of _gram_dets for the returned basis.
 
     Integral LLL (de Weger 1987; Cohen, A Course in Computational Algebraic
     Number Theory, Alg. 2.6.7): the loop keeps only the integers d_i and
@@ -444,12 +443,12 @@ def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction 
     the Lovasz test for delta = a/b is b d_{i+1} d_{i-1} < a d_i^2 - b lam^2
     with lam = lam_{i,i-1}; a swap of b_{i-1}, b_i changes d_i and the lam
     below row i by exact divisions.  So every step is that of LLL over
-    Fractions (mu_ij = lam_ij / d_{j+1}, squared lengths d_{i+1} / (d_i S)),
+    Fractions (mu_ij = lam_ij / d_{j+1}, squared lengths d_{i+1} / d_i),
     and no Fraction is built.
     """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
-    d, lam, scale = _gram_dets(b, qw)
+    d, lam = _gram_dets(b, w)
     num, den = delta.numerator, delta.denominator
     i = 1
     while i < k:
@@ -479,34 +478,35 @@ def _lll(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction 
             i = max(i - 1, 1)
         else:
             i += 1
-    return b, (d, lam, scale)
+    return b, (d, lam)
 
 
 def lll_reduce(rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: RatLike = Fraction(3, 4)) -> list[list[int]]:
     """Exact LLL under the diagonal quadratic form qw, for an exact 1/4 <
-    delta <= 1: same lattice, nicer basis.  Integral LLL (see _lll) keeps the
-    Gram determinants d_i and lam_ij = d_{j+1} mu_ij as integers throughout."""
+    delta <= 1: same lattice, nicer basis.  Integral LLL (see _lll) under qw
+    scaled to integers keeps d_i and lam_ij = d_{j+1} mu_ij as integers."""
     delta = to_fraction(delta)
     if not Fraction(1, 4) < delta <= 1:
         raise DomainError(f"LLL needs 1/4 < delta <= 1, got {delta}")
     if any(len(r) != len(qw) for r in rows):
         raise DomainError(f"every row and the form need the same length, got form length {len(qw)}")
+    w = _scaled(qw)[0]
     if len(rows) <= 1:
         return [list(map(int, r)) for r in rows]
-    return _lll(rows, qw, delta)[0]
+    return _lll(rows, w, delta)[0]
 
 
 def _tile_bound(rows: Sequence[Sequence[int]], dk: int, body: Body, cap: int) -> int:
     """A lower bound on #{v in L : body._gauge(v) <= cap}, origin included,
     for L = Z rows of full rank, with dk the last Gram determinant of rows
-    under body.quad_weights() (see _gram_dets).
+    under body._form (see _gram_dets).
 
     The translates v + P of the rows' parallelepiped P tile space, so the
     tiles of the points of the body K cover K' = {x : x - P in K}, and
     #(L cap K) covol >= vol(K').  Each body bounds vol(K') prod_i W_i from
     below by N / F (_tile_volume), and covol^2 = dk / prod_i W_i^2, since
-    the integer weights of _gram_dets are the W_i^2.  So the count is at
-    least N / (F sqrt(dk)), returned rounded up, in integers.
+    the body's form is the W_i^2.  So the count is at least N / (F sqrt(dk)),
+    returned rounded up, in integers.
     """
     num, f = body._tile_volume(rows, cap)
     den2 = f * f * dk
@@ -516,7 +516,7 @@ def _tile_bound(rows: Sequence[Sequence[int]], dk: int, body: Body, cap: int) ->
 
 def _points(
     rows: Sequence[Sequence[int]],
-    gs: tuple[Sequence[int], Sequence[Sequence[int]], int],
+    gs: tuple[Sequence[int], Sequence[Sequence[int]]],
     body: Body,
     cap: int,
     budget: int,
@@ -527,15 +527,15 @@ def _points(
     lattice rows / den, cap = floor(R den S) keeps the points of body norm
     g / (S den) at most R, S the body's scale.
 
-    Fincke-Pohst (Math. Comp. 44, 1985) in integers, over gs = (d, lam, Q),
-    the integral Gram-Schmidt data of rows under body.quad_weights() (see
-    _gram_dets; Q = S^2), out to the ellipsoid that circumscribes the gauge
-    ball.
-    Level i adds y_i^2 / (d_i d_{i+1} Q), y_i = d_{i+1} t_i + sum_{j>i}
-    lam_ji t_j; scaled by P = prod_i d_i d_{i+1}, the remaining bound rem is
-    an integer, and t_i runs over exactly the integers with
-    |y_i| <= isqrt(rem // P_i), P_i = P / (d_i d_{i+1}).  Every leaf is then
-    filtered by its gauge.
+    Fincke-Pohst (Math. Comp. 44, 1985) in integers, over gs = (d, lam),
+    the integral Gram-Schmidt data of rows under body._form (see
+    _gram_dets), out to the ellipsoid form(v) <= ellipsoid_bound(cap) that
+    circumscribes the gauge ball.  Level i adds y_i^2 / (d_i d_{i+1}),
+    y_i = d_{i+1} t_i + sum_{j>i} lam_ji t_j, to the form, and the bound
+    left there is rem / scale, scale = prod_{j>i} d_j d_{j+1}: so after
+    rem *= d_i d_{i+1}, t_i runs over exactly the integers with
+    |y_i| <= isqrt(rem // scale), and the child gets rem - y_i^2 scale over
+    scale d_i d_{i+1}.  Every leaf is then filtered by its gauge.
 
     Sign rule (Schnorr-Euchner, Math. Programming 66, 1994): unless shifted,
     t_i starts at 0 while every coefficient above level i is 0, so of each
@@ -548,21 +548,16 @@ def _points(
     at 1: the points are rows[-1] + Z rows[:-1], all visited.  Each level
     tries its t_i in ascending order.
     """
-    d, lam, qscale = gs
+    d, lam = gs
     k = len(rows)
     n = len(rows[0])
     if not shifted and k == n:
         _charge("lattice enumeration", _tile_bound(rows, d[k], body, cap) // 2, "nodes", budget, "budget")
-    dd = [d[i] * d[i + 1] for i in range(k)]
-    # P_i from prefix and suffix products: no division of the huge P
-    pre = list(itertools.accumulate(dd, operator.mul, initial=1))
-    suf = list(itertools.accumulate(reversed(dd), operator.mul, initial=1))[::-1]
-    total, part = pre[-1], [x * y for x, y in zip(pre, suf[1:])]
     out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     t = [0] * k
     nodes = 0
 
-    def rec(i: int, rem: int, half: bool) -> None:
+    def rec(i: int, rem: int, scale: int, half: bool) -> None:
         nonlocal nodes
         if i < 0:
             if not half:
@@ -573,7 +568,9 @@ def _points(
             return
         c = sum(lam[j][i] * t[j] for j in range(i + 1, k))
         di = d[i + 1]
-        r = math.isqrt(rem // part[i])
+        dd = d[i] * di
+        rem *= dd
+        r = math.isqrt(rem // scale)
         tries = range(0 if half else -((r + c) // di), (r - c) // di + 1)
         if shifted and i == k - 1:
             tries = range(1, 2 if 1 in tries else 1)
@@ -583,12 +580,10 @@ def _points(
                 _charge("lattice enumeration", nodes, "nodes", budget, "budget")
             y = di * ti + c
             t[i] = ti
-            rec(i - 1, rem - y * y * part[i], half and ti == 0)
+            rec(i - 1, rem - y * y * scale, scale * dd, half and ti == 0)
         t[i] = 0
 
-    # gauge <= cap implies S^2 qw(v) <= ellipsoid_bound(cap), and qw(v) Q P
-    # is the sum of the y_i^2 P_i
-    rec(k - 1, body.ellipsoid_bound(cap) * qscale * total // body._scale**2, not shifted)
+    rec(k - 1, body.ellipsoid_bound(cap), 1, not shifted)
     return out
 
 
@@ -614,7 +609,7 @@ def lattice_points_within(
     radius = to_fraction(radius)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    rows, gs = _lll(lat.basis, body.quad_weights())
+    rows, gs = _lll(lat.basis, body._form)
     cap = radius.numerator * lat.den * body._scale // radius.denominator
     return [u for _, v, _ in _points(rows, gs, body, cap, budget) for u in (v, tuple(-x for x in v))]
 
@@ -649,7 +644,7 @@ def _minima_engine(
     (gauge, lexicographic sign-normalized vector); only the minima it reports
     become Fractions.
     """
-    red, gs = _lll(rows, body.quad_weights())
+    red, gs = _lll(rows, body._form)
     cap = max(body._gauge(r) for r in red)
     gauge_of = {_canonical_sign(v): g for g, v, _ in _points(red, gs, body, cap, budget)}
     wits = _independent(sorted(gauge_of, key=lambda v: (gauge_of[v], v)), len(rows))
@@ -705,7 +700,7 @@ def _svp(rows: Sequence[Sequence[int]], body: Body, cap: int, budget: int = DEFA
             vs += [tuple(x * u + y * w for u, w in zip(b1, b2)) for y in (1, 2) for x in range(-2, 3)]
         pts = [(body._gauge(v), v) for v in vs]
     else:
-        red, gs = _lll(rows, body.quad_weights())
+        red, gs = _lll(rows, body._form)
         cap = min([cap] + [body._gauge(r) for r in red])
         pts = [(g, v) for g, v, _ in _points(red, gs, body, cap, budget)]
     best = min(((g, _canonical_sign(v)) for g, v in pts if g <= cap), default=None)
@@ -860,7 +855,6 @@ def mahler_basis(
     prof = successive_minima(lat, body, budget)
     n = lat.dim
     den = lat.den
-    qw = body.quad_weights()
 
     def lattice_row(t: Sequence[int]) -> list[int]:
         return [sum(x * row[c] for x, row in zip(t, lat.basis)) for c in range(n)]
@@ -887,7 +881,7 @@ def mahler_basis(
             # u itself qualifies, so the search is never empty
             coeffs = chosen + [u_vec]
             rows = vecs + [lattice_row(u_vec)]
-            pts = _points(rows, _gram_dets(rows, qw), body, body._gauge(rows[-1]), budget, shifted=True)
+            pts = _points(rows, _gram_dets(rows, body._form), body, body._gauge(rows[-1]), budget, shifted=True)
             _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
             sign = 1 if _canonical_sign(vec) == vec else -1
             best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]

@@ -506,7 +506,6 @@ def mahler_basis_by_saturation(lat, body, queries=()):
 
     prof = successive_minima(lat, body)
     n = lat.dim
-    qw = body.quad_weights()
 
     def lattice_row(t: Sequence[int]) -> list[int]:
         return [sum(x * row[c] for x, row in zip(t, lat.basis)) for c in range(n)]
@@ -526,7 +525,7 @@ def mahler_basis_by_saturation(lat, body, queries=()):
         else:
             coeffs = chosen + [u_vec]
             rows = vecs + [lattice_row(u_vec)]
-            pts = _points(rows, _gram_dets(rows, qw), body, body._gauge(rows[-1]), DEFAULT_NODE_BUDGET, shifted=True)
+            pts = _points(rows, _gram_dets(rows, body._form), body, body._gauge(rows[-1]), DEFAULT_NODE_BUDGET, shifted=True)
             _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
             sign = 1 if _canonical_sign(vec) == vec else -1
             best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]

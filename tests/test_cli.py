@@ -254,6 +254,23 @@ def test_verify_json_stdout(tmp_path, capsys):
     assert payload["cells"][0]["T"] >= 4  # T >= H^2 always
 
 
+def test_verify_refuses_an_unusable_file_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # each of these ended in a traceback; a bad --out only after the whole sweep
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli.sweep, "run_sweep", no_sweep)
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("d = 2\nm = 7\nh = 2\nseeds = 0\nmaster = café\n".encode("latin-1"))
+    for argv in (
+        ["verify", "--config", str(tmp_path / "missing" / "x.cfg")],
+        ["verify", "--config", str(latin1)],
+        ["verify", "--out", str(tmp_path / "missing" / "r.json")],
+    ):
+        rc, out, err = _run(capsys, argv)
+        assert (rc, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_domain_error_exit_code(capsys):
     rc, _, err = _run(capsys, ["energy", "--modulus", "1", "--poly", "0,1", "--H", "2"])
     assert rc == 2

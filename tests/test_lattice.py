@@ -350,16 +350,20 @@ def test_lll_in_place_matches_recompute_oracle():
     for rows, qw, delta in runs:
         red = lll_reduce(rows, qw, delta)
         assert red == oracles.lll_recompute(rows, qw, delta)
+        # the form reaches _lll only as integers, so its scale cannot matter
+        c = Fraction(rng.randrange(1, 1000), rng.randrange(1, 1000))
+        assert lll_reduce(rows, tuple(c * x for x in qw), delta) == red
         # the Gram-Schmidt data kept in integers is that of the result:
         # mu_ij = lam_ij / d_{j+1} and bn_i = d_{i+1} / (d_i S)
-        basis, (d, lam, scale) = _lll(rows, qw, delta)
+        w, scale = _scaled(qw)
+        basis, (d, lam) = _lll(rows, w, delta)
         mu = [[Fraction(x, d[j + 1]) for j, x in enumerate(row)] for row in lam]
         bn = [Fraction(d[i + 1], d[i] * scale) for i in range(len(lam))]
         assert (basis, mu, bn) == (red, *oracles.gram_schmidt_plain(red, qw))
     # mu = 5/2 is a tie: round half to even gives (1, 1), half up would give (-1, 1)
     unit = (Fraction(1),) * 2
     assert lll_reduce([[2, 0], [5, 1]], unit) == oracles.lll_recompute([[2, 0], [5, 1]], unit) == [[1, 1], [1, -1]]
-    assert _lll([[2, 0], [5, 1]], unit, Fraction(1, 3))[0] == [[2, 0], [1, 1]]
+    assert _lll([[2, 0], [5, 1]], (1, 1), Fraction(1, 3))[0] == [[2, 0], [1, 1]]
     # the Lovasz test is strict: bn_1 = (delta - mu^2) bn_0 exactly, so no swap
     for rows, qw, delta in (([[2, 0], [1, 1]], (1, 2), Fraction(3, 4)), ([[1, 0], [0, 1]], unit, Fraction(1))):
         assert lll_reduce(rows, qw, delta) == oracles.lll_recompute(rows, qw, delta) == rows
@@ -386,7 +390,7 @@ def test_integer_search_matches_fraction_oracle():
         cs = tuple(rng.choice(widths) for _ in range(n))
         body = DualBody(cs) if k % 2 else WeightedBox(cs)
         qw = body.quad_weights()
-        rows, gs = _lll(basis, qw)
+        rows, gs = _lll(basis, body._form)
         mu, bn = oracles.gram_schmidt_plain(rows, qw)
         norms = sorted(body.norm(r) / den for r in rows)
         # the SVP's radius, one between, and the minima engine's below dimension 5
@@ -403,7 +407,7 @@ def test_integer_search_matches_fraction_oracle():
             coset = rows[:-1] + [[sum(x * r[c] for x, r in zip(e, rows)) for c in range(n)]]
             radius = body.norm(coset[-1]) / den
             want = oracles.points_fraction(coset, den, body, radius, *oracles.gram_schmidt_plain(coset, qw), shifted=True)
-            assert want and _integer_search(coset, _gram_dets(coset, qw), den, body, radius, True) == want
+            assert want and _integer_search(coset, _gram_dets(coset, body._form), den, body, radius, True) == want
             cases += 1
     # the congruence pipeline's boxes at m = 10^30
     for k in range(12):
@@ -411,11 +415,26 @@ def test_integer_search_matches_fraction_oracle():
         lat = congruence_lattice([rng.randrange(10**30) for _ in range(d - 1)] + [1], 10**30)
         body = _pipeline_box(d, 10**30, rng.randrange(10**4, 10**6) if d == 2 else rng.randrange(10, 10**3))
         qw = body.quad_weights()
-        rows, gs = _lll(lat.basis, qw)
+        rows, gs = _lll(lat.basis, body._form)
         radius = min([Fraction(1)] + [body.norm(r) for r in rows])
         want = oracles.points_fraction(rows, 1, body, radius, *oracles.gram_schmidt_plain(rows, qw))
         assert want and _integer_search(rows, gs, 1, body, radius) == want
         cases += 1
+    # and at d = 4..6 in regime, where the scale of the lower levels grows to
+    # thousands of bits: out to the SVP's radius and the longest reduced row
+    for k in range(12):
+        d = 4 + k % 3
+        H = rng.randrange(1, {4: 92, 5: 13, 6: 5}[d])
+        assert in_regime(d, 10**30, H)
+        lat = congruence_lattice([rng.randrange(10**30) for _ in range(d - 1)] + [1], 10**30)
+        body = _pipeline_box(d, 10**30, H)
+        qw = body.quad_weights()
+        rows, gs = _lll(lat.basis, body._form)
+        norms = sorted(body.norm(r) for r in rows)
+        for radius in (min(Fraction(1), norms[0]), norms[-1]):
+            want = oracles.points_fraction(rows, 1, body, radius, *oracles.gram_schmidt_plain(rows, qw))
+            assert want and _integer_search(rows, gs, 1, body, radius) == want
+            cases += 1
     assert cases >= 200
 
 
@@ -443,6 +462,20 @@ def test_lll_reduce_refuses_a_bad_delta_or_form():
         with pytest.raises(DomainError, match="same length"):
             lll_reduce(rows, qw)
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("bad", [(0.1, 1), ("abc", 1), (1, "1/0")])
+@pytest.mark.parametrize("entry", [
+    lambda vec: lll_reduce([[1, 0], [3, 1]], vec),
+    lambda vec: WeightedBox((1, 1)).norm(vec),
+    lambda vec: IntLattice(((1, 0), (0, 2))).coefficients_of(vec),
+    lambda vec: rational_rank([vec, (1, 1)]),
+], ids=["lll_reduce", "norm", "coefficients_of", "rational_rank"])
+def test_rational_vectors_refuse_floats_and_malformed_rationals(entry, bad):
+    # a float form was reduced silently, and the malformed rationals raised
+    # a bare ValueError or ZeroDivisionError
+    with pytest.raises(DomainError):
+        entry(bad)
 
 
 def test_shortest_vector_matches_full_radius_oracle():
@@ -476,7 +509,7 @@ from energia.ring import is_probable_prime  # noqa: E402
 
 def _svp_by_enumeration(rows, body, cap):
     """_svp's answer from the general path at any rank: LLL, then Fincke-Pohst."""
-    red, gs = _lll(rows, body.quad_weights())
+    red, gs = _lll(rows, body._form)
     pts = _points(red, gs, body, min([cap] + [body._gauge(r) for r in red]), DEFAULT_NODE_BUDGET)
     return min(((g, _canonical_sign(v)) for g, v, _ in pts), default=(0, None))[1]
 
@@ -511,7 +544,7 @@ def test_gauss_matches_the_general_search():
         (g1, b1), (g2, b2) = _gauss(rows, body)
         det = b1[0] * b2[1] - b1[1] * b2[0]
         assert g1 <= g2 and abs(det) == abs(det_int(rows))
-        red, gs = _lll(rows, body.quad_weights())
+        red, gs = _lll(rows, body._form)
         pts = _points(red, gs, body, g2, DEFAULT_NODE_BUDGET)
         assert min(g for g, _, _ in pts) == g1
         assert min(g for g, v, _ in pts if v[0] * b1[1] != v[1] * b1[0]) == g2
@@ -919,7 +952,6 @@ def test_tile_bound_never_exceeds_the_count():
         lat = _random_lattice(n, rng)
         cs = tuple(Fraction(rng.randrange(2, 5), rng.randrange(1, 3)) for _ in range(n))
         body = DualBody(cs) if dual else WeightedBox(cs)
-        qw = body.quad_weights()
         # |x_i| <= radius / c_i in the cross-polytope, radius * c_i in the box;
         # the numerator scan is kept to at most 7^4 points
         reach = [1 / c if dual else c for c in cs]
@@ -931,8 +963,8 @@ def test_tile_bound_never_exceeds_the_count():
             norm = lambda vec: max(abs(v) / c for v, c in zip(vec, cs))
         count = len(oracles.points_by_scan(lat.basis, 1, norm, [int(radius * r) for r in reach], radius)) + 1
         # the bound holds for any basis; _points passes the LLL-reduced one
-        for rows in (lat.basis, _lll(lat.basis, qw)[0]):
-            bound = _tile_bound(rows, _gram_dets(rows, qw)[0][-1], body, cap)
+        for rows in (lat.basis, _lll(lat.basis, body._form)[0]):
+            bound = _tile_bound(rows, _gram_dets(rows, body._form)[0][-1], body, cap)
             assert 0 <= bound <= count, (k, rows, cs, radius, bound, count)
             positive += bound > 1
     assert positive >= 40
