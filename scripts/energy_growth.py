@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Tabulate the exact interval energy of one polynomial family as H grows.
 
-For a fixed degree and modulus, draws one seeded monic polynomial per H,
-prints T alongside the two closed-form reference bounds, and fits log-log
-slopes overall and below the fourth-moment crossover.
+For a fixed degree and modulus, runs the one-seed sweep of those lengths
+(energia.sweep.run_sweep), which draws one seeded monic polynomial per H,
+and prints T alongside the two closed-form reference bounds, then the
+sweep's log-log slopes overall and below the fourth-moment crossover.
 """
 import argparse
-import math
-import statistics
 import sys
 
 from energia.bounds import fourth_moment_crossover
-from energia.sweep import run_cell
+from energia.sweep import SweepConfig, run_sweep
 
 
 def main() -> int:
@@ -24,30 +23,20 @@ def main() -> int:
     ap.add_argument("--master", default="growth")
     args = ap.parse_args()
 
-    lengths = [int(v) for v in args.lengths.split(",") if int(v) <= args.m]
-    cross = fourth_moment_crossover(args.d, args.m)
-    print(f"d = {args.d}, m = {args.m}, crossover H ~ {cross:.2f}")
+    lengths = tuple(int(v) for v in args.lengths.split(","))
+    report = run_sweep(SweepConfig(degrees=(args.d,), moduli=(args.m,), lengths=lengths,
+                                   seeds=(args.seed,), master=args.master))
+    print(f"d = {args.d}, m = {args.m}, crossover H ~ {fourth_moment_crossover(args.d, args.m):.2f}")
     print(f"{'H':>5} {'T':>12} {'energy bd':>12} {'fourth bd':>12} "
           f"{'T/energy':>9} {'T/fourth':>9}")
-
-    pts, small = [], []
-    for H in lengths:
-        c = run_cell(args.d, args.m, H, args.seed, master=args.master)
-        print(f"{H:>5} {c.T:>12} {c.bound_energy:>12.4g} {c.bound_fourth:>12.4g} "
+    for c in report.cells:
+        print(f"{c.H:>5} {c.T:>12} {c.bound_energy:>12.4g} {c.bound_fourth:>12.4g} "
               f"{c.ratio_energy:>9.3g} {c.ratio_fourth:>9.3g}")
-        if H > 1:
-            pts.append((math.log(H), math.log(c.T)))
-            if H <= cross:
-                small.append((math.log(H), math.log(c.T)))
 
-    def slope(p):
-        if len(p) < 2:
-            return None
-        return statistics.linear_regression([x for x, _ in p], [y for _, y in p]).slope
-
+    (slopes,) = report.slopes
     print()
-    print(f"fitted slope, all H: {slope(pts)}")
-    print(f"fitted slope, H below crossover: {slope(small)}")
+    print(f"fitted slope, all H: {slopes.slope_all}")
+    print(f"fitted slope, H below crossover: {slopes.slope_small}")
     return 0
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Optional, Sequence
 
+from .bounds import _float_bound
 from .ring import (
     DomainError,
     PolyMod,
@@ -318,13 +319,15 @@ class BilinearBoundRecord:
     assumption: str = field(default="p^(o(1)) factor taken as 1", compare=False)
 
 
+@_float_bound
 def bilinear_energy_bound(S: int, H: int, p: int, energy: int, r: int) -> BilinearBoundRecord:
     """Numeric bilinear-sum bound driven by an additive energy estimate.
 
     The three bracket terms trade the energy of the weight set against powers
     of p; the flags report the exact range conditions S^2 H <= p^2, H^2 < p
     and H^r >= p under which the shape is meaningful.  Violations are
-    reported in the flags, never silently ignored.
+    reported in the flags, never silently ignored.  An input or a bound too
+    large for a float raises DomainError.
     """
     if min(p, S, H, energy) < 1 or r < 1:
         raise DomainError("all parameters must be positive")
@@ -336,9 +339,12 @@ def bilinear_energy_bound(S: int, H: int, p: int, energy: int, r: int) -> Biline
     flags = {
         "S^2 H <= p^2": S * S * H <= p * p,
         "H^2 < p": H * H < p,
-        "H^r >= p": H**r >= p,
+        "H^r >= p": H > 1 and r >= p.bit_length() or H**r >= p,  # H^r >= 2^r > p: no power of a huge r
     }
-    return BilinearBoundRecord(S * H * bracket + secondary, (t1, t2, t3), secondary, flags)
+    bound = S * H * bracket + secondary
+    if not math.isfinite(bound):
+        raise DomainError("bilinear_energy_bound: the bound is too large for a float")
+    return BilinearBoundRecord(bound, (t1, t2, t3), secondary, flags)
 
 
 @dataclass(frozen=True)

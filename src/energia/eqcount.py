@@ -149,7 +149,8 @@ def count_eq(
 def _eq_by_table(cs: tuple[int, ...], target: int, H: int, collect: bool):
     """count_eq's table route, priced like `brute_congruence`."""
     _charge("count_eq", 2 * H if target == 0 else H, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
-    hits = _value_index(poly_table(cs, 1, H), target)
+    vals = poly_table(cs, 1, H)
+    hits = _value_index(vals, [v + target for v in vals])
     count = sum(map(len, hits))
     if collect:
         _charge("count_eq", H + count, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
@@ -176,15 +177,14 @@ def _eq_by_shifts(cs: tuple[int, ...], target: int, H: int, collect: bool, ts: C
     return (count, tuple(sorted(sols))) if collect else count
 
 
-def _value_index(vals: list[int], w: int, m: Optional[int] = None) -> list:
-    """For vals = f(1..H), the x with f(x) = f(y) + w (mod m, or over Z) for each
-    y; only the values that a shift hits keep a list of x, so it is O(H)."""
-    hit = set(vals).intersection((v + w for v in vals) if m is None else ((v + w) % m for v in vals))
-    where: dict[int, list[int]] = {t: [] for t in hit}
+def _value_index(vals: list[int], keys: list[int]) -> list:
+    """For vals = f(1..H) and one key k_y per y, the x with f(x) = k_y for
+    each y; only the values that a key hits keep a list of x, so it is O(H)."""
+    where: dict[int, list[int]] = {t: [] for t in set(vals).intersection(keys)}
     for x, v in enumerate(vals, start=1):
         if v in where:
             where[v].append(x)
-    return [where.get(v + w, ()) for v in vals] if m is None else [where.get((v + w) % m, ()) for v in vals]
+    return [where.get(k, ()) for k in keys]
 
 
 @dataclass(frozen=True)
@@ -373,31 +373,38 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
     if H > m:
         raise DomainError("interval longer than the modulus")
     _charge("brute_congruence", H, "steps", budget, "budget")
-    hits = _value_index(poly_table(f.coeffs, 1, H, m), shift % m, m)
+    vals, s = poly_table(f.coeffs, 1, H, m), shift % m
+    hits = _value_index(vals, [(v + s) % m for v in vals])
     count = sum(map(len, hits))
     _charge("brute_congruence", H + count, "steps", budget, "budget")
     return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))
 
 
+@functools.lru_cache(maxsize=None)
+def _cube(d: int) -> WeightedBox:
+    return WeightedBox((1,) * d)
+
+
 def _pipeline(f: PolyMod, shift: int, H: int, certify: bool, brute_sols: tuple) -> PipelineCertificate:
     """The constructive count.  For the monic coefficients a (a_d = 1) the
     congruence lattice {l a + m Z^d} has the basis a, m e_1, ..., m e_{d-1},
-    of determinant +-m^(d-1), built here in closed form.  The box
-    |b_j| <= m / (100 d H^j) has the integer weights 100 d H^j over m, so
-    _svp takes both as integers, with no rank check and no Fraction, and
-    returns the least vector that shortest_vector_in would return for the
-    same lattice and box: the answer does not depend on the basis."""
+    of determinant +-m^(d-1), built here in closed form.  In y_j = w_j b_j,
+    w_j = 100 d H^j, the box |b_j| <= m / w_j is the cube |y_j| <= m, so _svp
+    takes the basis with column j scaled by w_j, the cube and cap m, all in
+    integers, and its least y gives b_j = y_j / w_j exactly: the vector that
+    shortest_vector_in returns for the lattice and the box."""
     m = f.modulus
     d = f.degree
     u = inv_mod(f.coeffs[-1], m)
     monic = tuple(u * c % m for c in f.coeffs)
     lam = u * (shift % m) % m
 
-    rows = [monic[1:]] + [tuple(m * (i == j) for j in range(d)) for i in range(d - 1)]
-    box = WeightedBox._of([100 * d * H**j for j in range(1, d + 1)], m)
-    b = _svp(rows, box, box._scale)
-    if b is None:
+    w = [100 * d * H**j for j in range(1, d + 1)]
+    basis = [monic[1:]] + [[m * (i == j) for j in range(d)] for i in range(d - 1)]
+    y = _svp([[x * wj for x, wj in zip(r, w)] for r in basis], _cube(d), m)
+    if y is None:
         raise DomainError("no short relation found inside a certified box")  # unreachable
+    b = tuple(yj // wj for yj, wj in zip(y, w))
     if b[-1] == 0:
         # b_d = ell mod m with |b_d| < m, so b_d = 0 would force b = 0
         raise DomainError("degenerate relation with zero leading entry")  # unreachable

@@ -213,9 +213,7 @@ class _Gauge:
     integers W_i = S w_i, S the lcm of the denominators of the w_i, so the
     norm of a numerator vector v is the integer agg_i |v_i| W_i over S, and
     its integer form _form = (W_i^2) is S^2 quad_weights().  Each body names
-    its agg and its weight w_i as a function of its one field's c_i, given
-    as w_i's numerator and denominator (c_i's, swapped for w_i = 1/c_i), so
-    W_i and S come from integers alone."""
+    its agg and its weight w_i as a function of its one field's c_i."""
 
     def __post_init__(self) -> None:
         (fld,) = fields(self)
@@ -223,23 +221,8 @@ class _Gauge:
         if not vals or any(c <= 0 for c in vals):
             raise DomainError(f"{fld.name.replace('_', '-')} must be positive rationals")
         object.__setattr__(self, fld.name, vals)
-        self._set_weights(*zip(*(self._weight(c) for c in vals)))
-
-    def _set_weights(self, num: Sequence[int], den: Sequence[int]) -> None:
-        # w_i = num_i / den_i in lowest terms; set past the frozen guard
-        scale = math.lcm(*den)
-        weights = tuple(p * (scale // q) for p, q in zip(num, den))
-        vars(self).update(_scale=scale, _weights=weights, _form=tuple([w * w for w in weights]))
-
-    @classmethod
-    def _of(cls, weights: Sequence[int], scale: int) -> "Body":
-        """The body with w_i = weights[i] / scale, from positive integers, for
-        private callers: no Fraction is built and the field is left unset, so
-        only the gauge and the methods that _svp reads work on it."""
-        body = object.__new__(cls)
-        gs = [math.gcd(w, scale) for w in weights]
-        body._set_weights([w // g for w, g in zip(weights, gs)], [scale // g for g in gs])
-        return body
+        weights, scale = _scaled([self._weight(c) for c in vals])
+        vars(self).update(_scale=scale, _weights=tuple(weights), _form=tuple([w * w for w in weights]))  # past the frozen guard
 
     @property
     def dim(self) -> int:
@@ -263,7 +246,7 @@ class WeightedBox(_Gauge):
 
     half_widths: tuple[Fraction, ...]
     _agg = staticmethod(max)
-    _weight = staticmethod(lambda c: (c.denominator, c.numerator))
+    _weight = staticmethod(lambda c: 1 / c)
 
     def volume(self) -> Fraction:
         return math.prod(2 * c for c in self.half_widths)
@@ -288,7 +271,7 @@ class DualBody(_Gauge):
 
     coefficients: tuple[Fraction, ...]
     _agg = staticmethod(sum)
-    _weight = staticmethod(lambda c: (c.numerator, c.denominator))
+    _weight = staticmethod(lambda c: c)
 
     def volume(self) -> Fraction:
         return Fraction(2**self.dim, math.factorial(self.dim)) / math.prod(self.coefficients)
@@ -390,8 +373,8 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
     Generated by (a_1..a_d) and m e_j; returned in canonical HNF form, for
     callers whose answer is that form.  When a_d = 1 the rows a, m e_1, ...,
     m e_{d-1} are already a basis, of determinant +-m^(d-1); the congruence
-    pipeline builds that one in integers and hands it to _svp, which
-    reduces it.
+    pipeline builds that one in closed form, scales its columns so that its
+    box becomes the cube, and hands it to _svp, which reduces it.
     """
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
@@ -682,7 +665,10 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
 def _svp(rows: Sequence[Sequence[int]], body: Body, cap: int, budget: int = DEFAULT_NODE_BUDGET) -> Optional[tuple[int, ...]]:
     """The nonzero v of the lattice Z rows (rows independent) least by
     (gauge, _canonical_sign(v)), sign-normalized, or None past cap: the SVP
-    core of shortest_vector_in and of the congruence pipeline.
+    core of shortest_vector_in and of the congruence pipeline.  Scaling
+    column j of the rows by w_j > 0 and the body's weight j by 1/w_j scales
+    the answer alike: gauges, signs and lexicographic order keep their order,
+    and the gauges and the form change only by constant factors.
 
     Rank 2 in the plane is _gauss, which needs no node budget.  Otherwise LLL
     runs once and Fincke-Pohst goes out to the least gauge of a reduced row
@@ -957,8 +943,7 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
 
     kernel = integer_kernel(rows)
     k = len(kernel)
-    cube = WeightedBox(tuple(Fraction(1) for _ in range(d)))
-    minima, wits = _minima_engine(kernel, 1, cube, budget)
+    minima, wits = _minima_engine(kernel, 1, WeightedBox((1,) * d), budget)
 
     for w in wits:
         if any(sum(rows[i][c] * w[c] for c in range(d)) != 0 for i in range(d0)):

@@ -435,6 +435,28 @@ def test_huge_inputs_refuse_at_once_with_a_short_error(capsys, argv):
     assert time.perf_counter() - t0 < 1.0
 
 
+@pytest.mark.parametrize("argv", [
+    # p, then S, too large for a float; then a bound of E p^2 past 1.8e308
+    ["charsum", "bound", "--S", "10", "--H", "10", "--p", str(10**400), "--E", "1", "--r", "1"],
+    ["charsum", "bound", "--S", str(10**200), "--H", "10", "--p", "7", "--E", "1", "--r", "1"],
+    ["charsum", "bound", "--S", "1", "--H", "1", "--p", str(10**100), "--E", str(10**300), "--r", "1"],
+])
+def test_charsum_bound_refuses_what_a_float_cannot_hold(capsys, argv):
+    # the first two ended in an OverflowError traceback, the last printed Infinity
+    t0 = time.perf_counter()
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2 and out == "" and err.startswith("error:") and len(err) < 200, err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_charsum_bound_flags_a_huge_r_at_once(capsys):
+    # H^r >= p holds once 2^r > p, without building 10^(10^30)
+    t0 = time.perf_counter()
+    payload, _ = _run_json(capsys, ["charsum", "bound", "--S", "1", "--H", "10", "--p", "7", "--E", "1", "--r", str(10**30)])
+    assert payload["flags"] == {"S^2 H <= p^2": True, "H^2 < p": False, "H^r >= p": True}
+    assert time.perf_counter() - t0 < 1.0
+
+
 @pytest.mark.parametrize("argv, count", [
     # the equations j > s follow from the first s (Newton-Girard)
     (["vinogradov", "--d", "3000", "--s", "1", "--set", "1,2"], 2),

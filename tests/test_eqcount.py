@@ -536,6 +536,11 @@ def _fraction_box(d, m, H):
     return WeightedBox(tuple(Fraction(m, 100 * d * H**j) for j in range(1, d + 1)))
 
 
+def _box_weights(d, H):
+    """w_j = 100 d H^j: y_j = w_j b_j maps the pipeline's box onto the cube |y_j| <= m."""
+    return [100 * d * H**j for j in range(1, d + 1)]
+
+
 def test_closed_form_basis_matches_the_hnf_lattice(monkeypatch):
     seen = []
 
@@ -550,21 +555,30 @@ def test_closed_form_basis_matches_the_hnf_lattice(monkeypatch):
         res = count_congruence(f, shift, H, certify=True)
         assert res.method == "pipeline" and len(seen) == 1
         rows, body, cap = seen[0]
-        lat = IntLattice(tuple(map(tuple, rows)))
-        box = _fraction_box(f.degree, f.modulus, H)
-        # the integer box is the Fraction box's gauge, and cap its norm 1
-        assert (body._weights, body._scale, cap) == (box._weights, box._scale, box._scale)
+        d, m, w = f.degree, f.modulus, _box_weights(f.degree, H)
         monic = res.certificate.monic
-        hnf = congruence_lattice(monic[1:], f.modulus)
+        basis = [monic[1:]] + [tuple(m * (i == j) for j in range(d)) for i in range(d - 1)]
+        # the unit cube, cap m, and the closed-form basis with column j times w_j
+        assert (body, body._weights, body._scale, cap) == (WeightedBox((1,) * d), (1,) * d, 1, m)
+        assert [list(r) for r in rows] == [[x * wj for x, wj in zip(r, w)] for r in basis]
+        lat = IntLattice(tuple(basis))
+        box = _fraction_box(d, m, H)
+        hnf = congruence_lattice(monic[1:], m)
         assert lat.canonical() == hnf.canonical() == hnf
         assert shortest_vector_in(hnf, box) == shortest_vector_in(lat, box) == res.certificate.short_vector
         runs.append(res)
     # a reference run whose SVP is shortest_vector_in on congruence_lattice's
-    # HNF and the Fraction box
+    # HNF and the Fraction box, mapped to the cube's coordinates y_j = w_j b_j
     branches = set()
     for (f, shift, H), res in zip(_closed_form_cases(), runs):
-        box = _fraction_box(f.degree, f.modulus, H)
-        monkeypatch.setattr(eqcount, "_svp", lambda rows, body, cap: shortest_vector_in(congruence_lattice(rows[0], rows[1][0]), box))
+        box, w = _fraction_box(f.degree, f.modulus, H), _box_weights(f.degree, H)
+
+        def reference(rows, body, cap):
+            a, m = [x // wj for x, wj in zip(rows[0], w)], rows[1][0] // w[0]
+            v = shortest_vector_in(congruence_lattice(a, m), box)
+            return None if v is None else tuple(x * wj for x, wj in zip(v, w))
+
+        monkeypatch.setattr(eqcount, "_svp", reference)
         ref = count_congruence(f, shift, H, certify=True)
         for fld in dataclasses.fields(res.certificate):
             assert getattr(res.certificate, fld.name) == getattr(ref.certificate, fld.name), fld.name

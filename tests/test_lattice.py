@@ -516,8 +516,9 @@ def _svp_by_enumeration(rows, body, cap):
 
 def test_gauss_matches_the_general_search():
     rng = random.Random(2101)
-    seen = {"cases": 0, "none": 0, "tie": 0, "wide": 0, "prime": 0}
+    seen = {"cases": 0, "none": 0, "tie": 0, "wide": 0, "prime": 0, "scaled": 0}
     for k in range(3600):
+        cap = None
         m = rng.randrange(2, (20, 60, 10**4, 10**9)[k % 4])
         if k % 8 == 3:
             while not is_probable_prime(m):
@@ -525,11 +526,19 @@ def test_gauss_matches_the_general_search():
         H = rng.randrange(1, 12 if m > 1000 else 4)
         if k % 5 < 3:
             # the pipeline's lattice at d = 2, its box (c = 200) or a wider
-            # one, or a cross-polytope on the same weights
+            # one, or a cross-polytope on the same weights; in every other
+            # block of 15, also scaled by the weights onto the unit body
             c = (200, 4, 1)[k // 5 % 3]
             seen["prime"] += is_probable_prime(m)
             rows = [(rng.randrange(m), 1), (m, 0)]
-            body = (WeightedBox, DualBody)[k % 5 % 2]._of([c * H, c * H * H], m)
+            ws = (c * H, c * H * H)
+            weights = tuple(Fraction(w, m) for w in ws)
+            body = DualBody(weights) if k % 5 % 2 else WeightedBox(tuple(1 / x for x in weights))
+            if k // 15 % 2:
+                want = _svp(rows, body, body._scale)
+                rows, body, cap = [tuple(x * w for x, w in zip(r, ws)) for r in rows], type(body)((1, 1)), m
+                seen["scaled"] += 1
+                assert _svp(rows, body, cap) == (None if want is None else tuple(x * w for x, w in zip(want, ws)))
         else:  # a small basis and a body of Fractions, often of equal widths, so ties are common
             rows = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)]
             if det_int(rows) == 0:
@@ -537,8 +546,9 @@ def test_gauss_matches_the_general_search():
             cs = tuple(Fraction(rng.randrange(1, 13), rng.randrange(1, 4)) for _ in range(2))
             cs = cs if k % 3 == 0 else cs[:1] * 2
             body = WeightedBox(cs) if k % 2 else DualBody(tuple(1 / c for c in cs))
-        want = _svp_by_enumeration(rows, body, body._scale)
-        assert _svp(rows, body, body._scale) == want
+        cap = cap or body._scale
+        want = _svp_by_enumeration(rows, body, cap)
+        assert _svp(rows, body, cap) == want
         # b1, b2 is a basis at the two successive minima, and each least
         # vector is x b1 + y b2 with |x|, |y| <= 2, the candidates of _svp
         (g1, b1), (g2, b2) = _gauss(rows, body)
@@ -559,13 +569,14 @@ def test_gauss_matches_the_general_search():
     # over 3000 lattices, None and an answer each in over 1000; ties at the
     # minimum, least vectors past b1 +- b2 (wide) and prime moduli
     assert seen["cases"] >= 3000 and seen["cases"] - seen["none"] >= 1000 and seen["none"] >= 1000, seen
-    assert seen["tie"] >= 200 and seen["wide"] >= 5 and seen["prime"] >= 400, seen
+    assert seen["tie"] >= 200 and seen["wide"] >= 5 and seen["prime"] >= 400 and seen["scaled"] >= 1000, seen
 
 
 def test_integer_svp_matches_the_fraction_box():
-    """The pipeline's entry: _svp on the closed-form basis and the box of
-    integer weights gives shortest_vector_in's vector on the IntLattice and
-    the Fraction box, so the skipped rank check and Fraction box change nothing."""
+    """The pipeline's entry: _svp on the closed-form basis with column j
+    scaled by w_j = 100 d H^j, under the unit cube out to m, gives
+    shortest_vector_in's vector on the IntLattice and the Fraction box once
+    divided by w_j, so the skipped rank check and Fraction box change nothing."""
     rng = random.Random(2102)
     nones = 0
     for k in range(120):
@@ -576,14 +587,43 @@ def test_integer_svp_matches_the_fraction_box():
             m_min *= 2
         m = (_next_prime(m_min + rng.randrange(m_min)), 6 * m_min + 6, 10**30, rng.randrange(2, max(3, m_min // 8)))[k // 4 % 4]
         rows = [tuple(rng.randrange(m) for _ in range(d - 1)) + (1,)] + [tuple(m * (i == j) for j in range(d)) for i in range(d - 1)]
-        body, box = WeightedBox._of([100 * d * H**j for j in range(1, d + 1)], m), _pipeline_box(d, m, H)
-        assert (body._weights, body._scale) == (box._weights, box._scale)
+        w, box, cube = [100 * d * H**j for j in range(1, d + 1)], _pipeline_box(d, m, H), WeightedBox((1,) * d)
         want = shortest_vector_in(IntLattice(tuple(rows)), box)
-        assert _svp(rows, body, body._scale) == want
+        y = _svp([[x * wj for x, wj in zip(r, w)] for r in rows], cube, m)
+        assert (y is None) == (want is None)
+        if y is not None:
+            assert all(yj % wj == 0 for yj, wj in zip(y, w))
+            assert tuple(yj // wj for yj, wj in zip(y, w)) == want
+            # the cube's gauge out of m is the box's out of its scale
+            assert cube._gauge(y) * box._scale == box._gauge(want) * m
         if m < 8 * m_min:  # few points in the box: the oracle scans them all
             assert want == oracles.shortest_vector_full_radius(IntLattice(tuple(rows)), box)
         nones += want is None
     assert nones >= 10
+
+
+def test_scaling_onto_the_cube_keeps_the_tie_break():
+    """Where several least vectors tie, lexicographic order picks one; scaling
+    column j by w_j > 0 onto the cube out to m keeps that pick.  Small bases
+    and small weights make ties common, at rank 2 (_gauss) and 3 (LLL and
+    Fincke-Pohst), unlike the pipeline's boxes, where none was seen."""
+    rng = random.Random(2401)
+    ties = {2: 0, 3: 0}
+    for k in range(600):
+        n = 2 + k % 2
+        lat = _random_lattice(n, rng)
+        w = [rng.randrange(1, 4) for _ in range(n)]
+        m = rng.randrange(2, 12)
+        box = WeightedBox(tuple(Fraction(m, wj) for wj in w))
+        want = shortest_vector_in(lat, box)
+        y = _svp([[x * wj for x, wj in zip(r, w)] for r in lat.basis], WeightedBox((1,) * n), m)
+        assert y == (None if want is None else tuple(x * wj for x, wj in zip(want, w)))
+        if want is not None:
+            least = box.norm(want)
+            tied = {_canonical_sign(v) for v in lattice_points_within(lat, box, least)}
+            assert {box.norm(v) for v in tied} == {least} and min(tied) == want
+            ties[n] += len(tied) > 1
+    assert min(ties.values()) >= 30, ties
 
 
 def _next_prime(n):

@@ -35,3 +35,36 @@ def test_the_import_check_sees_what_it_should():
     src = "from __future__ import annotations\nimport os, os.path as osp\nfrom typing import Union\nfrom . import a, b\n"
     assert _unused_imports(src + "__all__ = ['a']\nprint(b)\n") == ["os (line 2)", "osp (line 2)", "Union (line 3)"]
     assert _unused_imports(src + "x: Union[int, str] = osp.sep + os.sep\n__all__ = ['a', 'b']\n") == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each private function, class and non-dunder method in
+    tree, and of each private name a module-level assignment binds."""
+    found = [(node.name, node.lineno) for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, ast.AnnAssign) else []
+        found += [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+    return [(name, line) for name, line in found if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def _dead_private_names(sources: dict[str, str]) -> list[str]:
+    """The private definitions of sources (file name -> source) that no file
+    reads, as a name or as an attribute."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [f"{file}: {name} (line {line})" for file, tree in trees.items() for name, line in _private_definitions(tree) if name not in read]
+
+
+def test_every_private_definition_is_read():
+    assert _dead_private_names({path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_private_name_check_sees_what_it_should():
+    a = "_A = 1\n_B: int = 2\n__all__ = []\nclass _C:\n    def __init__(self): self._x = _A\n    def _m(self): pass\n    def _n(self): pass\n"
+    b = "from a import _C\ndef _f():\n    def _g(): pass\n    return _C()._n()\n"
+    assert _dead_private_names({"a.py": a, "b.py": b}) == ["a.py: _m (line 6)", "a.py: _B (line 2)", "b.py: _f (line 2)", "b.py: _g (line 3)"]
