@@ -136,8 +136,6 @@ def weil_admissible(table: CharTable, coeffs: Sequence[int]) -> Optional[bool]:
         a0, a1, a2 = coeffs
         return (a1 * a1 - 4 * a2 * a0) % p != 0
     if r == 3 and d == 3:
-        if p == 3:
-            return None
         u = inv_mod(coeffs[3], p)
         g0, g1, g2 = (u * coeffs[0] % p, u * coeffs[1] % p, u * coeffs[2] % p)
         a = g2 * inv_mod(3, p) % p

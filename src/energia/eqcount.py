@@ -4,12 +4,12 @@ The central routine turns a congruence f(n) = f(m) + shift (mod m) over a
 short interval into a genuine integer equation: a short vector in the lattice
 of coefficient relations pins the power differences down to a single integer
 value, and the integer equation is then solved exactly inside the box by the
-route that count_eq's plan prices cheaper: read every pair off the value index
-of f(1..H), which brute force builds mod m, or isolate the roots of one
-difference polynomial per shift n - m dividing the value, by differentiation
-and integer bisection, nothing factored.  Brute force always recounts; the two
-totals must agree or the call fails loudly.  Each piece of work has one price
-in table values, compared by the plan and charged against BRUTE_BUDGET first.
+route that count_eq's plan prices cheaper: join f(1..H) with f(1..H) + value
+in order, as brute force does mod m, or isolate the roots of one difference
+polynomial per shift n - m dividing the value, by differentiation and integer
+bisection, nothing factored.  Brute force always recounts; the two totals must
+agree or the call fails loudly.  Each piece of work has one price in table
+values, compared by the plan and charged against BRUTE_BUDGET first.
 """
 from __future__ import annotations
 
@@ -123,8 +123,8 @@ def count_eq(
     A shift t = n - m != 0 has |t| < H and divides the target.  The divisor
     route scans min(H - 1, sqrt|target|) candidates for the shifts, unfactored,
     and isolates the roots in the box of f(m+t) - f(m) - target for each
-    (`_eq_by_shifts`); the table route reads the pairs off the value index of
-    f(1..H) (`_eq_by_table`), the one route for target 0.  The plan prices
+    (`_eq_by_shifts`); the table route joins f(1..H) with f(1..H) + target
+    (`_eq_by_table`), the one route for target 0.  The plan prices
     both in BRUTE_BUDGET's steps and takes the cheaper: H values, or the scan
     and two root searches a shift (+-t).  It scans only if the scan and the
     shifts +-1 cost no more than the table, and charges that, then the whole
@@ -150,41 +150,37 @@ def _eq_by_table(cs: tuple[int, ...], target: int, H: int, collect: bool):
     """count_eq's table route, priced like `brute_congruence`."""
     _charge("count_eq", 2 * H if target == 0 else H, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
     vals = poly_table(cs, 1, H)
-    hits = _value_index(vals, [v + target for v in vals])
-    count = sum(map(len, hits))
-    if collect:
-        _charge("count_eq", H + count, "steps", BRUTE_BUDGET, "BRUTE_BUDGET")
-        return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))
-    return count
+    return _join("count_eq", vals, [v + target for v in vals], BRUTE_BUDGET, "BRUTE_BUDGET", collect)
 
 
 def _eq_by_shifts(cs: tuple[int, ...], target: int, H: int, collect: bool, ts: Collection[int]):
     """count_eq's divisor route over the shifts +-t, t in ts (t < H, t | target != 0), priced by count_eq."""
-    sols, extra = set(), 0  # extra: the bulk, counted, not collected
+    sols, count = [], 0
     for t in (s for u in ts for s in (u, -u)):
         eqn = [a - b for a, b in zip(poly_shift_coeffs(cs, t), cs)]
         eqn[0] -= target
         lo, hi = max(1, 1 - t), min(H, H - t)
-        if not any(eqn[1:]):
-            if eqn[0] == 0 and collect:
-                sols.update((m + t, m) for m in range(lo, hi + 1))
-            elif eqn[0] == 0:
-                extra += hi - lo + 1
-            continue
-        for m in _roots_in(eqn, lo, hi):
-            sols.add((m + t, m))
-    count = len(sols) + extra
+        # each m gives one pair of shift t; a linear f's one shift zeroes the difference
+        ms = _roots_in(eqn, lo, hi) if any(eqn) else range(lo, hi + 1)
+        count += len(ms)
+        if collect:
+            sols += [(m + t, m) for m in ms]
     return (count, tuple(sorted(sols))) if collect else count
 
 
-def _value_index(vals: list[int], keys: list[int]) -> list:
-    """For vals = f(1..H) and one key k_y per y, the x with f(x) = k_y for
-    each y; only the values that a key hits keep a list of x, so it is O(H)."""
-    where: dict[int, list[int]] = {t: [] for t in set(vals).intersection(keys)}
-    for x, v in enumerate(vals, start=1):
-        if v in where:
-            where[v].append(x)
-    return [where.get(k, ()) for k in keys]
+def _join(stage: str, vals: list[int], keys: list[int], budget: int, name: str, collect: bool = True):
+    """#{(x, y) : vals[x] = keys[y]}, 1-based; only the keys that some value hits
+    keep a list of y, so it is O(H).  With collect, H + count steps are charged
+    before any pair is built, and the pairs follow in (x, y) order."""
+    where: dict[int, list[int]] = {k: [] for k in set(keys).intersection(vals)}
+    for y, k in enumerate(keys, start=1):
+        if k in where:
+            where[k].append(y)
+    count = sum(len(where[v]) for v in vals if v in where)
+    if not collect:
+        return count
+    _charge(stage, len(vals) + count, "steps", budget, name)
+    return count, tuple((x, y) for x, v in enumerate(vals, start=1) for y in where.get(v, ()))
 
 
 @dataclass(frozen=True)
@@ -253,10 +249,7 @@ def regime_constant(d: int, max_den: int = 10**6) -> Fraction:
             j = run(lambda j: below(a + j * x, b + j * y), (max_den - b) // y)
             a, b = a + j * x, b + j * y
         else:
-            jcap = (max_den - y) // b
-            if jcap < 1:
-                break
-            j = run(lambda j: not below(j * a + x, j * b + y), jcap)
+            j = run(lambda j: not below(j * a + x, j * b + y), (max_den - y) // b)
             x, y = j * a + x, j * b + y
     if a == 0:
         raise DomainError("denominator cap too small to approximate the cutoff")
@@ -329,7 +322,7 @@ def _solves(f: PolyMod, shift: int, pair: tuple[int, int]) -> bool:
     return (int_poly_eval(f.coeffs, n) - int_poly_eval(f.coeffs, m) - shift) % f.modulus == 0
 
 
-def _certify(family: Sequence[tuple[int, int]], H: int, f: PolyMod, shift: int) -> BVCertificate:
+def _certify(family: list[tuple[int, int]], H: int, f: PolyMod, shift: int) -> BVCertificate:
     """Recount the family through a small vector in its own relation nullspace."""
     d = f.degree
     anchor = min(family)
@@ -354,18 +347,18 @@ def _certify(family: Sequence[tuple[int, int]], H: int, f: PolyMod, shift: int) 
         raise DomainError("no nullspace vector pairs with the anchor")  # unreachable
     _, pairs = count_eq((0,) + tuple(vector), pairing, H, collect=True)
     kept = [p for p in pairs if _solves(f, shift, p)]
-    consistent = sorted(kept) == sorted(family)
+    consistent = kept == family
     return BVCertificate(anchor, d0, vector, pairing, len(family), len(kept), consistent, record)
 
 
 def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET):
-    """Reference count with solutions, read off the value index (`_value_index`)
-    that count_eq's table route shares: only the tests' oracles are independent.
+    """Reference count with solutions, from the join (`_join`) of f(1..H) with
+    f(1..H) + shift mod m that count_eq's table route shares: only the tests'
+    oracles are independent.
 
     H lies in [1, m], so that the interval injects into Z/m.  Priced in
     steps: the H values, refused before f is evaluated, then the solutions,
-    whose exact number the lists of x behind each hit value give before any
-    pair is built.
+    which the join counts before it builds them in (x, y) order.
     """
     m = f.modulus
     if H < 1:
@@ -374,10 +367,7 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
         raise DomainError("interval longer than the modulus")
     _charge("brute_congruence", H, "steps", budget, "budget")
     vals, s = poly_table(f.coeffs, 1, H, m), shift % m
-    hits = _value_index(vals, [(v + s) % m for v in vals])
-    count = sum(map(len, hits))
-    _charge("brute_congruence", H + count, "steps", budget, "budget")
-    return count, tuple(sorted((x, y) for y, xs in enumerate(hits, start=1) for x in xs))
+    return _join("brute_congruence", vals, [(v + s) % m for v in vals], budget, "budget")
 
 
 @functools.lru_cache(maxsize=None)

@@ -949,15 +949,13 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
         if any(sum(rows[i][c] * w[c] for c in range(d)) != 0 for i in range(d0)):
             raise DomainError("witness does not solve the system")  # unreachable
 
-    gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in rows] for ri in rows]
-    gram_det = det_int(gram)
+    gram_det = _gram_dets(rows, (1,) * d)[0][-1]
     minors = itertools.combinations(range(d), d0)
     minor_gcd = math.gcd(*(det_int([[rows[i][c] for c in cols] for i in range(d0)]) for cols in minors))
     if minor_gcd == 0:
         raise DomainError("matrix must have full row rank")  # unreachable after rank check
 
-    kernel_gram = [[sum(a * b for a, b in zip(ri, rj)) for rj in kernel] for ri in kernel]
-    kernel_det = det_int(kernel_gram)
+    kernel_det = _gram_dets(kernel, (1,) * d)[0][-1]
     if kernel_det * minor_gcd**2 != gram_det:
         raise DomainError("kernel covolume identity failed")  # unreachable
 
@@ -969,8 +967,7 @@ def bv_small_solutions(mat: Sequence[Sequence[int]], budget: int = DEFAULT_NODE_
     # every witness solves M w = 0 and the covolume identity certifies that
     # the kernel rows K are saturated, so W = C K for an integer C, and
     # det(W W^T) = det(C)^2 det(K K^T): W is a basis exactly when they agree
-    wit_gram = [[sum(a * b for a, b in zip(wi, wj)) for wj in wits] for wi in wits]
-    is_basis = det_int(wit_gram) == kernel_det
+    is_basis = _gram_dets(wits, (1,) * d)[0][-1] == kernel_det
 
     return NullspaceRecord(
         tuple(wits),

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from energia import charsum, cli, vinogradov
+from energia import charsum, cli, lattice, vinogradov
 from energia.sweep import CSV_COLUMNS
 
 
@@ -124,6 +124,27 @@ def test_lattice_needs_body(capsys):
     assert rc == 2
     assert "error:" in err
 
+
+
+@pytest.mark.parametrize("argv, record", [
+    (["lattice", "minima", "--basis", "1,1;0,5", "--cross", "1,2"],
+     lambda lat: lattice.successive_minima(lat, lattice.DualBody((1, 2)))),
+    (["lattice", "transfer", "--basis", "1,1;0,5", "--box", "1,1"],
+     lambda lat: lattice.transference_check(lat, lattice.WeightedBox((1, 1)))),
+])
+def test_lattice_prints_the_library_record(capsys, argv, record):
+    payload, _ = _run_json(capsys, argv)
+    assert payload == cli.json_ready(record(lattice.lattice_from_string("1,1;0,5", 1)))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["vinogradov", "--d", "2", "--s", "2", "--shifts", "0,0"], "--shifts needs --H"),
+    (["vinogradov", "--d", "2", "--s", "2", "--poly", "0,0,1", "--H", "3"], "--poly needs --modulus and --H"),
+    (["vinogradov", "--d", "2", "--s", "2"], "pass --H or --set"),
+    (["charsum", "bilinear", "--p", "7", "--H", "3"], "pass --set or --S for the residue side"),
+])
+def test_a_missing_input_is_refused_by_name(capsys, argv, line):
+    assert _run(capsys, argv) == (2, "", f"error: {line}\n")
 
 def test_eqcount_eq(capsys):
     payload, _ = _run_json(

@@ -585,3 +585,61 @@ def test_closed_form_basis_matches_the_hnf_lattice(monkeypatch):
         assert res == ref
         branches.add(res.certificate.branch)
     assert branches >= {"divisor", "empty"} and any(res.certificate.bv for res in runs)
+
+
+# --- pipeline branches that the seeded cases above do not reach ----------------
+
+
+def _pair_loop(f, shift, H, g=(), target=None):
+    """#{(n, m) in [1,H]^2 : f(n) = f(m) + shift (mod m)}, pair by pair; with an
+    integer polynomial g, only the pairs with g(n) - g(m) = target count."""
+    fv = [f(x) for x in range(1, H + 1)]
+    gv = [oracles.poly_int(g, x) for x in range(1, H + 1)] if g else [0] * H
+    return sum(
+        1
+        for i in range(H)
+        for j in range(H)
+        if (not g or gv[i] - gv[j] == target) and (fv[i] - fv[j] - shift) % f.modulus == 0
+    )
+
+
+@pytest.mark.parametrize("coeffs, m, shift, solutions, vector, pairing", [
+    # x^2 at the prime 10^30 + 57: n^2 - m^2 = 105 on the factorizations of 105
+    ((0, 0, 1), 10**30 + 57, 105, ((11, 4), (13, 8), (19, 16), (53, 52)), (0, 1), 105),
+    # the README family: 3(n - m) + n^2 - m^2 = 108
+    ((5, 3, 1), 10**30, 108, ((14, 10), (18, 15), (53, 52)), (3, 1), 108),
+])
+def test_certify_recounts_a_rank_one_family(coeffs, m, shift, solutions, vector, pairing):
+    # the relative power differences of the family span one line, so the
+    # recount goes through bv_small_solutions and count_eq on its vector
+    H = 1000
+    f = PolyMod(coeffs, m)
+    res = count_congruence(f, shift, H)
+    cert, bv = res.certificate, res.certificate.bv
+    assert (res.method, cert.branch, cert.solutions) == ("pipeline", "divisor", solutions)
+    assert (bv.rank, bv.vector, bv.pairing, bv.recount, bv.consistent) == (1, vector, pairing, len(solutions), True)
+    assert res.count == len(solutions) == _pair_loop(f, shift, H)
+    assert bv.recount == _pair_loop(f, shift, H, (0,) + vector, pairing)
+
+
+def test_pipeline_collision_branch_returns_brute_force():
+    # ell * lam = 0 mod 10^12: the relation carries no value information, so
+    # the pipeline hands back brute force's solutions, here none
+    m, shift, H = 10**12, 5 * 10**11, 50
+    f = PolyMod((351763952441, 21606219484, 1), m)
+    assert in_regime(2, m, H)
+    res = count_congruence(f, shift, H)
+    cert = res.certificate
+    assert (res.method, cert.branch, cert.offset, cert.bv) == ("pipeline", "collision", 0, None)
+    assert cert.solutions == brute_congruence(f, shift, H)[1] == ()
+    assert res.count == _pair_loop(f, shift, H) == 0
+
+
+def test_count_eq_strips_trailing_zero_coefficients():
+    # 0 + x + 0 x^2 is the line x: n - m = 1 holds on 4 pairs of [1, 5]
+    assert count_eq((0, 1, 0), 1, 5) == 4
+    assert count_eq((0, 1, 0), 1, 5, collect=True) == (4, ((2, 1), (3, 2), (4, 3), (5, 4)))
+    # and 5 + 0 x is a constant, refused like 5
+    for coeffs in ((5,), (5, 0), (5, 0, 0)):
+        with pytest.raises(DomainError, match="nonconstant"):
+            count_eq(coeffs, 1, 5)

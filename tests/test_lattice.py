@@ -1035,3 +1035,14 @@ def test_lattice_search_priced_before_its_first_node():
     assert _tile_bound(square.basis, 1, small, 400) == 638401
     with pytest.raises(BudgetExceeded, match=r"lattice enumeration: 319200 nodes exceed the budget \(budget = 100000\)"):
         count_lattice_points(square, small, budget=100000)
+
+
+def test_rank_deficient_search_is_held_by_its_running_node_count():
+    # Z^2 x {0} in three dimensions has no full-rank tile to price the box
+    # with, so the count of nodes walked is the only guard on the search
+    plane = IntLattice(((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(BudgetExceeded) as info:
+        lattice_points_within(plane, WeightedBox((100, 100, 1)), budget=1000)
+    assert str(info.value) == "lattice enumeration: 1001 nodes exceed the budget (budget = 1000)"
+    # the 21 x 21 grid of the box, less the origin
+    assert len(lattice_points_within(plane, WeightedBox((10, 10, 1)), budget=1000)) == 440

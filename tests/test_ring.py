@@ -28,6 +28,7 @@ from energia.ring import (
     primes_up_to,
     to_fraction,
 )
+from energia.bounds import fourth_moment_crossover
 from energia.charsum import RegimeParams, xi_threshold
 from energia.lattice import DualBody, WeightedBox, fractional_measure
 
@@ -220,6 +221,27 @@ def test_parsers():
 ])
 def test_bad_rationals_raise_domain_error(call):
     with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: eqcount.regime_constant(2, 0), "denominator cap must be positive", id="cap-0"),
+    pytest.param(lambda: eqcount.regime_constant(2, 1), "denominator cap too small", id="cap-1"),
+    pytest.param(lambda: vinogradov.count_I(2, 2, 0, (0, 0)), "H must be >= 1, got 0", id="count-I-H-0"),
+    pytest.param(lambda: vinogradov.check_J_bound(2, H_values=(0,)), "H must be >= 1, got 0", id="slope-H-0"),
+    pytest.param(lambda: charsum.BilinearInstance((), (), 1, (1,)), "residue set must be nonempty", id="no-residues"),
+    pytest.param(lambda: charsum.BilinearInstance((1, 2), (1,), 1, (1,)), "one alpha weight per residue", id="short-alpha"),
+    pytest.param(
+        lambda: charsum.prime_bilinear_sum(charsum.CharTable.build(7), PolyMod((0, 1), 11), 3, 3),
+        "polynomial modulus 11 does not match the table's 7", id="moduli-differ",
+    ),
+    pytest.param(lambda: RegimeParams("1/4", "1/3", 2, r=0), "r must be a positive integer", id="r-0"),
+    pytest.param(lambda: fourth_moment_crossover(2, 1), "modulus must be >= 2", id="crossover-m-1"),
+    pytest.param(lambda: Factorization(0, ()), "zero has no factorization", id="factor-0"),
+    pytest.param(lambda: Factorization(6, ((3, 1), (2, 1))), "primes must be strictly increasing", id="factor-order"),
+])
+def test_invalid_inputs_raise_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
         call()
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from energia import sweep
+from energia import cli, sweep
 from energia.cli import json_ready
 from energia.energy import energy_plus, energy_T, sumset_size
 from energia.ring import BudgetExceeded, DomainError, Interval, PolyMod, image_set
@@ -254,3 +254,39 @@ def test_run_cell_matches_standalone_and_oracles(coeffs, m, H):
     assert cell.T == energy_T(f, iv) == oracles.energy_T_quadruple(coeffs, m, H)
     assert cell.energy_plus == energy_plus(f, iv) == oracles.set_energy_plus_quadruple(img, m)
     assert cell.sumset == sumset_size(f, iv) == oracles.sumset_size_naive(coeffs, m, H)
+
+
+def _boom_on(monkeypatch, H, exc):
+    """run_cell raises exc on the cells of length H and runs as before elsewhere."""
+    real = sweep.run_cell
+
+    def run_cell(d, m, h, seed, master="energia", f=None):
+        if h == H:
+            raise exc
+        return real(d, m, h, seed, master, f)
+
+    monkeypatch.setattr(sweep, "run_cell", run_cell)
+
+
+def test_a_cell_that_crashes_becomes_an_error_row(monkeypatch, tmp_path, capsys):
+    grid = SweepConfig(degrees=(2,), moduli=(101,), lengths=(2, 3, 5), seeds=(0,))
+    without = run_sweep(SweepConfig(degrees=(2,), moduli=(101,), lengths=(2, 5), seeds=(0,)))
+    _boom_on(monkeypatch, 3, RuntimeError("boom"))
+    report = run_sweep(grid, workers=1)
+    bad = [c for c in report.cells if c.H == 3]
+    assert len(bad) == 1 and bad[0].error == "RuntimeError: boom" and bad[0].hard_failure
+    assert report.hard_failures == 1 and not report.ok
+    # the slopes are fitted on the other cells alone
+    assert report.slopes == without.slopes and report.slopes[0].points_all == 2
+    config = tmp_path / "grid.txt"
+    config.write_text("d = 2\nm = 101\nh = 2, 3, 5\nseeds = 0\n", "utf-8")
+    assert cli.main(["verify", "--config", str(config)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "cells": 3, "hard_failures": 1, "max_c_fourth": report.max_c_fourth, "ok": False,
+    }
+    # an input the library refuses still refuses the whole sweep
+    _boom_on(monkeypatch, 3, DomainError("refused"))
+    with pytest.raises(DomainError, match="refused"):
+        run_sweep(grid, workers=1)
+    assert cli.main(["verify", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: refused\n"
