@@ -15,10 +15,11 @@ points (points within a radius, the shortest vector, the minima, the coset
 search of mahler_basis) is one Fincke-Pohst enumeration, _points, in
 integers: over the data of integral LLL (the coset search's unreduced), it
 ranges each level by an integer square root of a bound scaled level by
-level, filters by the integer gauge, and visits one of each pair +-v; a
-full-rank search is priced first by a tile lower bound on its points.
-Fractions are built only for the norms reported, and floats only in the
-Monte Carlo estimate of fractional_measure.
+level, hands each child its partial vector, visits one of each pair +-v and
+returns the (gauge, vector) pairs within the gauge cap, which mahler_basis
+reads its basis off; a full-rank search is priced first by a tile lower
+bound on its points.  Fractions are built only for the norms reported, and
+floats only in the Monte Carlo estimate of fractional_measure.
 """
 from __future__ import annotations
 
@@ -504,8 +505,8 @@ def _points(
     cap: int,
     budget: int,
     shifted: bool = False,
-) -> list[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(g, v, t) for every lattice point v = t . rows whose integer gauge
+) -> list[tuple[int, tuple[int, ...]]]:
+    """(g, v) for every lattice point v = t . rows whose integer gauge
     g = body._gauge(v) is at most cap; the one enumeration here.  For the
     lattice rows / den, cap = floor(R den S) keeps the points of body norm
     g / (S den) at most R, S the body's scale.
@@ -515,10 +516,12 @@ def _points(
     _gram_dets), out to the ellipsoid form(v) <= ellipsoid_bound(cap) that
     circumscribes the gauge ball.  Level i adds y_i^2 / (d_i d_{i+1}),
     y_i = d_{i+1} t_i + sum_{j>i} lam_ji t_j, to the form, and the bound
-    left there is rem / scale, scale = prod_{j>i} d_j d_{j+1}: so after
-    rem *= d_i d_{i+1}, t_i runs over exactly the integers with
-    |y_i| <= isqrt(rem // scale), and the child gets rem - y_i^2 scale over
-    scale d_i d_{i+1}.  Every leaf is then filtered by its gauge.
+    left there is rem / scale, handed down with the partial vector
+    sum_{j>=i} t_j rows_j: t_i runs over exactly the integers with
+    |y_i| <= isqrt(rem d_i d_{i+1} // scale), and the child gets the bound
+    (rem d_i d_{i+1} - y_i^2 scale) / (scale d_i d_{i+1}), as (rem, scale)
+    unchanged when y_i = 0, and a new vector only when t_i != 0.  Every
+    leaf's v is then filtered by its gauge.
 
     Sign rule (Schnorr-Euchner, Math. Programming 66, 1994): unless shifted,
     t_i starts at 0 while every coefficient above level i is 0, so of each
@@ -533,27 +536,24 @@ def _points(
     """
     d, lam = gs
     k = len(rows)
-    n = len(rows[0])
-    if not shifted and k == n:
+    if not shifted and k == len(rows[0]):
         _charge("lattice enumeration", _tile_bound(rows, d[k], body, cap) // 2, "nodes", budget, "budget")
-    out: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    out: list[tuple[int, tuple[int, ...]]] = []
     t = [0] * k
     nodes = 0
 
-    def rec(i: int, rem: int, scale: int, half: bool) -> None:
+    def rec(i: int, rem: int, scale: int, half: bool, v: tuple[int, ...]) -> None:
         nonlocal nodes
         if i < 0:
             if not half:
-                v = tuple(sum(x * row[c] for x, row in zip(t, rows)) for c in range(n))
                 g = body._gauge(v)
                 if g <= cap:
-                    out.append((g, v, tuple(t)))
+                    out.append((g, v))
             return
         c = sum(lam[j][i] * t[j] for j in range(i + 1, k))
         di = d[i + 1]
         dd = d[i] * di
-        rem *= dd
-        r = math.isqrt(rem // scale)
+        r = math.isqrt(rem * dd // scale)
         tries = range(0 if half else -((r + c) // di), (r - c) // di + 1)
         if shifted and i == k - 1:
             tries = range(1, 2 if 1 in tries else 1)
@@ -563,10 +563,14 @@ def _points(
                 _charge("lattice enumeration", nodes, "nodes", budget, "budget")
             y = di * ti + c
             t[i] = ti
-            rec(i - 1, rem - y * y * scale, scale * dd, half and ti == 0)
+            child = tuple(x + ti * e for x, e in zip(v, rows[i])) if ti else v
+            if y:
+                rec(i - 1, rem * dd - y * y * scale, scale * dd, half and ti == 0, child)
+            else:
+                rec(i - 1, rem, scale, half and ti == 0, child)
         t[i] = 0
 
-    rec(k - 1, body.ellipsoid_bound(cap), 1, not shifted)
+    rec(k - 1, body.ellipsoid_bound(cap), 1, not shifted, (0,) * len(rows[0]))
     return out
 
 
@@ -594,7 +598,7 @@ def lattice_points_within(
         raise DomainError(f"radius must be >= 0, got {radius}")
     rows, gs = _lll(lat.basis, body._form)
     cap = radius.numerator * lat.den * body._scale // radius.denominator
-    return [u for _, v, _ in _points(rows, gs, body, cap, budget) for u in (v, tuple(-x for x in v))]
+    return [u for _, v in _points(rows, gs, body, cap, budget) for u in (v, tuple(-x for x in v))]
 
 
 @dataclass(frozen=True)
@@ -629,7 +633,7 @@ def _minima_engine(
     """
     red, gs = _lll(rows, body._form)
     cap = max(body._gauge(r) for r in red)
-    gauge_of = {_canonical_sign(v): g for g, v, _ in _points(red, gs, body, cap, budget)}
+    gauge_of = {_canonical_sign(v): g for g, v in _points(red, gs, body, cap, budget)}
     wits = _independent(sorted(gauge_of, key=lambda v: (gauge_of[v], v)), len(rows))
     if len(wits) != len(rows):
         raise DomainError("enumeration failed to reach full rank")  # unreachable
@@ -688,7 +692,7 @@ def _svp(rows: Sequence[Sequence[int]], body: Body, cap: int, budget: int = DEFA
     else:
         red, gs = _lll(rows, body._form)
         cap = min([cap] + [body._gauge(r) for r in red])
-        pts = [(g, v) for g, v, _ in _points(red, gs, body, cap, budget)]
+        pts = _points(red, gs, body, cap, budget)
     best = min(((g, _canonical_sign(v)) for g, v in pts if g <= cap), default=None)
     return best[1] if best else None
 
@@ -830,7 +834,8 @@ def mahler_basis(
     rows T, U T^T = H is upper triangular, so T = H^T C with C = U^-T
     unimodular.  Row c_j of C then completes its rows before it to a basis
     of the saturation of span(t_1..t_j), and the coset searched,
-    c_j + Z(w_1..w_{j-1}), is that of every completion, up to sign.
+    c_j + Z(w_1..w_{j-1}), is that of every completion, up to sign.  w_j
+    is the sign-normalized v of the least (gauge, sign-normalized v) there.
     The expansion certificate reports, for each queried vector b in L,
     integer coefficients b = sum c_j w_j and the value max_j |c_j| lambda_j.
     """
@@ -856,23 +861,17 @@ def mahler_basis(
         raise DomainError("witnesses are not independent")  # unreachable
     d, adj = _inverse_scaled(u)  # U^-1 = adj / d, d = +-1
 
-    chosen: list[list[int]] = []  # coefficient rows of w_1..w_j
-    vecs: list[list[int]] = []  # their numerators, chosen . basis
+    vecs: list[Sequence[int]] = []  # numerators of w_1..w_j
     for j in range(n):
         u_vec = [d * row[j] for row in adj]  # row j of U^-T
-        if not chosen:
-            best = list(_canonical_sign(tuple(u_vec)))
+        if not vecs:
+            vecs.append(lattice_row(_canonical_sign(tuple(u_vec))))
         else:
-            # minimize over the completion coset u + Z(chosen), u the shift row;
-            # u itself qualifies, so the search is never empty
-            coeffs = chosen + [u_vec]
+            # minimize over the completion coset u + Z(w_1..w_{j-1}), u the
+            # shift row; u itself qualifies, so the search is never empty
             rows = vecs + [lattice_row(u_vec)]
             pts = _points(rows, _gram_dets(rows, body._form), body, body._gauge(rows[-1]), budget, shifted=True)
-            _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
-            sign = 1 if _canonical_sign(vec) == vec else -1
-            best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]
-        chosen.append(best)
-        vecs.append(lattice_row(best))
+            vecs.append(min((g, _canonical_sign(v)) for g, v in pts)[1])
 
     basis_lat = IntLattice(tuple(tuple(v) for v in vecs), den)
     norms = tuple(Fraction(body._gauge(v), body._scale * den) for v in vecs)

@@ -499,10 +499,9 @@ def mahler_basis_by_saturation(lat, body, queries=()):
     """mahler_basis as it was built before one transform gave the whole
     filtration: at every step j, the saturation of span(t_1..t_j) by two
     integer kernels, the chosen rows' coordinates in it, and a unimodular
-    completion from cofactors, then the same coset search."""
-    from energia.lattice import (
-        IntLattice, MahlerBasisRecord, DEFAULT_NODE_BUDGET, _canonical_sign, _gram_dets, _points, successive_minima,
-    )
+    completion from cofactors, then the same coset search, by points_fraction
+    over Fraction Gram-Schmidt data."""
+    from energia.lattice import IntLattice, MahlerBasisRecord, _canonical_sign, successive_minima
 
     prof = successive_minima(lat, body)
     n = lat.dim
@@ -525,7 +524,8 @@ def mahler_basis_by_saturation(lat, body, queries=()):
         else:
             coeffs = chosen + [u_vec]
             rows = vecs + [lattice_row(u_vec)]
-            pts = _points(rows, _gram_dets(rows, body._form), body, body._gauge(rows[-1]), DEFAULT_NODE_BUDGET, shifted=True)
+            radius = body.norm(rows[-1]) / lat.den
+            pts = points_fraction(rows, lat.den, body, radius, *gram_schmidt_plain(rows, body.quad_weights()), shifted=True)
             _, vec, t = min(pts, key=lambda p: (p[0], _canonical_sign(p[1])))
             sign = 1 if _canonical_sign(vec) == vec else -1
             best = [sign * sum(x * row[c] for x, row in zip(t, coeffs)) for c in range(n)]

@@ -61,6 +61,11 @@ def test_report_invariants():
         EnergyReport(7, 3, 15, 16, 1, 6, 1)
 
 
+def test_report_refuses_a_nonpositive_K():
+    with pytest.raises(DomainError, match="^K must be positive$"):
+        EnergyReport(7, 3, 15, 15, 1, 6, K=Fraction(0))
+
+
 def _random_instance(rng):
     m = rng.randrange(2, 51)
     d = rng.randrange(1, 4)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from energia.eqcount import (
     BRUTE_BUDGET,
+    SymmetricCount,
     _eq_by_shifts,
     _eq_by_table,
     _roots_in,
@@ -643,3 +644,31 @@ def test_count_eq_strips_trailing_zero_coefficients():
     for coeffs in ((5,), (5, 0), (5, 0, 0)):
         with pytest.raises(DomainError, match="nonconstant"):
             count_eq(coeffs, 1, 5)
+
+
+def test_a_disagreeing_pipeline_is_refused(monkeypatch):
+    # the pipeline's integer equation loses its last pair, so the certified
+    # count (3) no longer matches brute force (4) and the call must raise
+    real = eqcount_module.count_eq
+
+    def short(*args, **kwargs):
+        count, pairs = real(*args, **kwargs)
+        return count - 1, pairs[:-1]
+
+    monkeypatch.setattr(eqcount_module, "count_eq", short)
+    f = PolyMod((0, 0, 1), 10**30 + 57)
+    with pytest.raises(DomainError, match="^pipeline count 3 disagrees with brute force 4$"):
+        count_congruence(f, 105, 1000, certify=False)
+
+
+def test_symmetric_count_must_add_up():
+    with pytest.raises(DomainError, match="^decomposition does not add up$"):
+        SymmetricCount(5, 1, 1)
+
+
+def test_pipeline_runs_at_degree_twelve():
+    # in regime at m = 10^450 with H = 2; the call raises if the pipeline and
+    # brute force disagree
+    f = PolyMod((3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 1), 10**450)
+    assert in_regime(12, f.modulus, 2)
+    assert count_congruence(f, 5, 2).method == "pipeline"

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 import time
 import weakref
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from energia.lattice import (
     DualBody,
     IntLattice,
+    MinimaProfile,
     UnsupportedSize,
     WeightedBox,
     DEFAULT_NODE_BUDGET,
@@ -376,7 +378,7 @@ def _integer_search(rows, gs, den, body, radius, shifted=False):
     """_points at the cap floor(radius den S), its gauges read back as norms."""
     cap = radius.numerator * den * body._scale // radius.denominator
     pts = _points(rows, gs, body, cap, DEFAULT_NODE_BUDGET, shifted)
-    return [(Fraction(g, body._scale * den), v, t) for g, v, t in pts]
+    return [(Fraction(g, body._scale * den), v) for g, v in pts]
 
 
 def test_integer_search_matches_fraction_oracle():
@@ -397,7 +399,7 @@ def test_integer_search_matches_fraction_oracle():
         radii = {min(norms[0], Fraction(1)), (norms[0] + norms[-1]) / 2}
         for radius in (radii | {norms[-1]}) if n < 5 else radii:
             want = oracles.points_fraction(rows, den, body, radius, mu, bn)
-            assert _integer_search(rows, gs, den, body, radius) == want
+            assert _integer_search(rows, gs, den, body, radius) == [p[:2] for p in want]
             cases += 1
         # the coset search of mahler_basis, out to the shift's norm: rows that
         # LLL did not reduce, the last one the shift rows[-1] +- rows[j]
@@ -407,7 +409,7 @@ def test_integer_search_matches_fraction_oracle():
             coset = rows[:-1] + [[sum(x * r[c] for x, r in zip(e, rows)) for c in range(n)]]
             radius = body.norm(coset[-1]) / den
             want = oracles.points_fraction(coset, den, body, radius, *oracles.gram_schmidt_plain(coset, qw), shifted=True)
-            assert want and _integer_search(coset, _gram_dets(coset, body._form), den, body, radius, True) == want
+            assert want and _integer_search(coset, _gram_dets(coset, body._form), den, body, radius, True) == [p[:2] for p in want]
             cases += 1
     # the congruence pipeline's boxes at m = 10^30
     for k in range(12):
@@ -418,7 +420,7 @@ def test_integer_search_matches_fraction_oracle():
         rows, gs = _lll(lat.basis, body._form)
         radius = min([Fraction(1)] + [body.norm(r) for r in rows])
         want = oracles.points_fraction(rows, 1, body, radius, *oracles.gram_schmidt_plain(rows, qw))
-        assert want and _integer_search(rows, gs, 1, body, radius) == want
+        assert want and _integer_search(rows, gs, 1, body, radius) == [p[:2] for p in want]
         cases += 1
     # and at d = 4..6 in regime, where the scale of the lower levels grows to
     # thousands of bits: out to the SVP's radius and the longest reduced row
@@ -433,7 +435,7 @@ def test_integer_search_matches_fraction_oracle():
         norms = sorted(body.norm(r) for r in rows)
         for radius in (min(Fraction(1), norms[0]), norms[-1]):
             want = oracles.points_fraction(rows, 1, body, radius, *oracles.gram_schmidt_plain(rows, qw))
-            assert want and _integer_search(rows, gs, 1, body, radius) == want
+            assert want and _integer_search(rows, gs, 1, body, radius) == [p[:2] for p in want]
             cases += 1
     assert cases >= 200
 
@@ -511,7 +513,7 @@ def _svp_by_enumeration(rows, body, cap):
     """_svp's answer from the general path at any rank: LLL, then Fincke-Pohst."""
     red, gs = _lll(rows, body._form)
     pts = _points(red, gs, body, min([cap] + [body._gauge(r) for r in red]), DEFAULT_NODE_BUDGET)
-    return min(((g, _canonical_sign(v)) for g, v, _ in pts), default=(0, None))[1]
+    return min(((g, _canonical_sign(v)) for g, v in pts), default=(0, None))[1]
 
 
 def test_gauss_matches_the_general_search():
@@ -556,9 +558,9 @@ def test_gauss_matches_the_general_search():
         assert g1 <= g2 and abs(det) == abs(det_int(rows))
         red, gs = _lll(rows, body._form)
         pts = _points(red, gs, body, g2, DEFAULT_NODE_BUDGET)
-        assert min(g for g, _, _ in pts) == g1
-        assert min(g for g, v, _ in pts if v[0] * b1[1] != v[1] * b1[0]) == g2
-        for g, v, _ in pts:
+        assert min(g for g, _ in pts) == g1
+        assert min(g for g, v in pts if v[0] * b1[1] != v[1] * b1[0]) == g2
+        for g, v in pts:
             if g == g1:
                 x, y = (v[0] * b2[1] - v[1] * b2[0]) // det, (b1[0] * v[1] - b1[1] * v[0]) // det
                 assert max(abs(x), abs(y)) <= 2 and (y == 0 or g1 == g2)
@@ -860,6 +862,88 @@ def test_fractional_measure_identity():
     assert abs(rec.estimate - float(rec.target)) <= rec.band3
     again = fractional_measure([[1, 0], [0, 1]], ["1/4", "1/4"], samples=20000, seed=5)
     assert again == rec  # deterministic
+
+
+_PLANE = IntLattice(((1, 0, 0), (0, 1, 0)))  # rank 2 in Z^3
+_CUBE3 = WeightedBox((1, 1, 1))
+_ID9 = IntLattice(tuple(tuple(int(i == j) for j in range(9)) for i in range(9)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: integer_kernel([]), DomainError, "empty matrix", id="kernel-empty"),
+    pytest.param(lambda: IntLattice(()), DomainError, "empty basis", id="lattice-empty"),
+    pytest.param(lambda: IntLattice(((1, 0), (1,))), DomainError, "ragged basis", id="lattice-ragged"),
+    pytest.param(lambda: _PLANE.covolume, DomainError, "covolume needs a full-rank lattice", id="covolume-rank"),
+    pytest.param(lambda: dual_lattice(_PLANE), DomainError, "dual needs a full-rank lattice", id="dual-rank"),
+    pytest.param(
+        lambda: count_lattice_points(_PLANE, _CUBE3), DomainError, "point counting needs a full-rank lattice",
+        id="count-rank",
+    ),
+    pytest.param(
+        lambda: mahler_basis(_PLANE, _CUBE3), DomainError, "basis construction needs a full-rank lattice",
+        id="mahler-rank",
+    ),
+    pytest.param(lambda: congruence_lattice([1], 1), DomainError, "modulus must be >= 2, got 1", id="congruence-m-1"),
+    pytest.param(lambda: congruence_lattice([], 5), DomainError, "need at least one coefficient", id="congruence-empty"),
+    pytest.param(
+        lambda: lattice_points_within(_PLANE, WeightedBox((1, 1))), DomainError,
+        "body dimension does not match the lattice", id="within-body-dim",
+    ),
+    pytest.param(
+        lambda: successive_minima(_PLANE, WeightedBox((1, 1))), DomainError,
+        "body dimension does not match the lattice", id="minima-body-dim",
+    ),
+    pytest.param(
+        lambda: shortest_vector_in(_PLANE, WeightedBox((1, 1))), DomainError,
+        "body dimension does not match the lattice", id="svp-body-dim",
+    ),
+    pytest.param(lambda: MinimaProfile((Fraction(0),), ((1,),)), DomainError, "minima must be positive", id="minima-0"),
+    pytest.param(
+        lambda: MinimaProfile((Fraction(2), Fraction(1)), ((1, 0), (0, 1))), DomainError,
+        "minima must be nondecreasing", id="minima-decreasing",
+    ),
+    pytest.param(
+        lambda: MinimaProfile((Fraction(1), Fraction(2)), ((1, 0),)), DomainError,
+        "need one witness per minimum", id="minima-witness",
+    ),
+    pytest.param(
+        lambda: count_lattice_points(_ID9, WeightedBox((1,) * 9)), UnsupportedSize,
+        "dimension 9 exceeds the enumeration bound 8", id="count-dim-9",
+    ),
+    pytest.param(
+        lambda: mahler_basis(_ID9, WeightedBox((1,) * 9)), UnsupportedSize,
+        "dimension 9 exceeds the enumeration bound 8", id="mahler-dim-9",
+    ),
+    pytest.param(
+        lambda: mahler_basis(IntLattice(((2, 0), (0, 1))), WeightedBox((1, 1)), [(1, 0)]), DomainError,
+        "query (1, 0) is not a lattice vector", id="mahler-query",
+    ),
+    pytest.param(lambda: bv_small_solutions([]), DomainError, "empty matrix", id="bv-empty"),
+    pytest.param(lambda: bv_small_solutions([[1, 2, 3], [1, 2]]), DomainError, "ragged matrix", id="bv-ragged"),
+    pytest.param(
+        lambda: bv_small_solutions([[1, 2, 3], [2, 4, 6]]), DomainError, "matrix must have full row rank",
+        id="bv-rank",
+    ),
+    pytest.param(
+        lambda: bv_small_solutions([[1] * 10]), UnsupportedSize,
+        "ambient dimension 10 exceeds the enumeration bound 8", id="bv-dim-10",
+    ),
+    pytest.param(
+        lambda: fractional_measure([[1, 0]], ["1/4", "1/4"]), DomainError, "matrix must be square",
+        id="measure-square",
+    ),
+    pytest.param(
+        lambda: fractional_measure([[1, 0], [0, 1]], ["1/4"]), DomainError, "need 2 epsilons, got 1",
+        id="measure-eps",
+    ),
+    pytest.param(
+        lambda: fractional_measure([[1, 0], [0, 1]], ["1/4", "1/4"], samples=0), DomainError,
+        "need at least one sample", id="measure-samples-0",
+    ),
+])
+def test_every_lattice_refusal_names_its_cause(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_fractional_measure_validation():
