@@ -9,17 +9,18 @@ comparisons.  The integer linear algebra is one Hermite normal form loop
 takes its whole filtration from one such transform) and one fraction-free
 elimination.  Each norm body keeps one integer gauge (integer weights W_i
 over one common scale) and the integer form (W_i^2) that LLL and the
-enumeration take.  The shortest vector of a rank-2 lattice in the plane is
-an exact generalized Gauss reduction, _gauss; every other search for lattice
-points (points within a radius, the shortest vector, the minima, the coset
-search of mahler_basis) is one Fincke-Pohst enumeration, _points, in
-integers: over the data of integral LLL (the coset search's unreduced), it
-ranges each level by an integer square root of a bound scaled level by
+enumeration take.  The shortest vector of a rank-2 lattice in the plane
+is an exact generalized Gauss reduction, _gauss, when its first minimum is
+strict; every other search for lattice points (within a radius, a least
+vector, a rank-2 tie included, the minima, mahler_basis's coset search) is
+one Fincke-Pohst enumeration, _points, in integers: over the integral
+Gram-Schmidt data of an LLL or Gauss basis (the coset search's unreduced),
+it ranges each level by an integer square root of a bound scaled level by
 level, hands each child its partial vector, visits one of each pair +-v and
-returns the (gauge, vector) pairs within the gauge cap, which mahler_basis
-reads its basis off; a full-rank search is priced first by a tile lower
-bound on its points.  Fractions are built only for the norms reported, and
-floats only in the Monte Carlo estimate of fractional_measure.
+returns the (gauge, vector) pairs within the gauge cap, which every pick
+orders by (gauge, sign-normalized vector); a full-rank search is priced
+first by a tile lower bound on its points.  Fractions are built only for
+the norms reported, floats only in fractional_measure's Monte Carlo.
 """
 from __future__ import annotations
 
@@ -633,11 +634,11 @@ def _minima_engine(
     """
     red, gs = _lll(rows, body._form)
     cap = max(body._gauge(r) for r in red)
-    gauge_of = {_canonical_sign(v): g for g, v in _points(red, gs, body, cap, budget)}
-    wits = _independent(sorted(gauge_of, key=lambda v: (gauge_of[v], v)), len(rows))
+    pts = sorted((g, _canonical_sign(v)) for g, v in _points(red, gs, body, cap, budget))
+    wits = _independent((v for _, v in pts), len(rows))
     if len(wits) != len(rows):
         raise DomainError("enumeration failed to reach full rank")  # unreachable
-    return [Fraction(gauge_of[v], body._scale * den) for v in wits], wits
+    return [Fraction(body._gauge(w), body._scale * den) for w in wits], wits
 
 
 def successive_minima(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_BUDGET) -> MinimaProfile:
@@ -657,9 +658,9 @@ def shortest_vector_in(lat: IntLattice, body: Body, budget: int = DEFAULT_NODE_B
     """Numerator of a nonzero lattice vector of body-norm <= 1, of least norm
     (ties broken lexicographically after sign normalization), or None.
 
-    Rank 2 in the plane takes an exact generalized Gauss reduction, and
-    every other rank LLL plus Fincke-Pohst, both on the body's integer gauge
-    (see _svp).
+    Rank 2 in the plane takes an exact generalized Gauss reduction, which
+    hands a tie to Fincke-Pohst; every other rank takes LLL plus
+    Fincke-Pohst, all on the body's integer gauge (see _svp).
     """
     if body.dim != lat.dim:
         raise DomainError("body dimension does not match the lattice")
@@ -674,21 +675,15 @@ def _svp(rows: Sequence[Sequence[int]], body: Body, cap: int, budget: int = DEFA
     the answer alike: gauges, signs and lexicographic order keep their order,
     and the gauges and the form change only by constant factors.
 
-    Rank 2 in the plane is _gauss, which needs no node budget.  Otherwise LLL
-    runs once and Fincke-Pohst goes out to the least gauge of a reduced row
-    (or cap), where the shortest vector and every vector tied with it lie;
-    not a search over the HNF, whose first coordinate is about m/H wide in
-    the pipeline's boxes.
+    Rank 2 in the plane is _gauss: below the second minimum only +-b1 are
+    least, and a tie g1 == g2 <= cap goes to Fincke-Pohst over b1, b2 out to
+    g1, priced by the node budget.  Otherwise LLL runs once and the search
+    goes out to the least gauge of a reduced row (or cap), where every least
+    vector lies; not over the HNF, m/H wide in the pipeline's boxes.
     """
     if len(rows) == len(rows[0]) == 2:
         (g1, b1), (g2, b2) = _gauss(rows, body)
-        vs = [b1]
-        if g2 == g1:
-            # b1, b2 attain the two minima, so a least v = x b1 + y b2 has
-            # |x|, |y| <= 2 (Cramer's rule and Minkowski's second theorem);
-            # a flat face can hold one that b1 +- b2 misses, such as 2 b1 - b2
-            vs += [tuple(x * u + y * w for u, w in zip(b1, b2)) for y in (1, 2) for x in range(-2, 3)]
-        pts = [(body._gauge(v), v) for v in vs]
+        pts = _points([b1, b2], _gram_dets([b1, b2], body._form), body, g1, budget) if g1 == g2 <= cap else [(g1, b1)]
     else:
         red, gs = _lll(rows, body._form)
         cap = min([cap] + [body._gauge(r) for r in red])

@@ -279,11 +279,7 @@ def is_probable_prime(n: int) -> bool:
 
 def poly_from_string(text: str, modulus: int) -> PolyMod:
     """Parse an ascending comma-separated coefficient list, e.g. "0,0,1" for X^2."""
-    try:
-        coeffs = tuple(int(part.strip()) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"bad coefficient list {text!r}") from exc
-    return PolyMod(coeffs, modulus)
+    return PolyMod(ints_from_string(text), modulus)
 
 
 def ints_from_string(text: str) -> tuple[int, ...]:

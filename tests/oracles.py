@@ -454,18 +454,18 @@ def points_fraction(
 
 
 def shortest_vector_full_radius(lat, body) -> Optional[tuple[int, ...]]:
-    """Least nonzero vector of body-norm <= 1 among every lattice point out to radius 1.
+    """Least nonzero vector of body-norm <= 1 among every lattice point out to
+    radius 1, by points_fraction over a basis reduced by lll_recompute.
 
     Ties go to the lexicographically least sign-normalized vector, the
     first nonzero entry made positive.
     """
-    from energia.lattice import lattice_points_within
-
+    qw = body.quad_weights()
+    rows = lll_recompute(lat.basis, qw)
     best = None
-    for v in lattice_points_within(lat, body, Fraction(1)):
+    for nrm, v, _ in points_fraction(rows, lat.den, body, Fraction(1), *gram_schmidt_plain(rows, qw)):
         lead = next(x for x in v if x)
-        cv = tuple(v) if lead > 0 else tuple(-x for x in v)
-        key = (body.norm([Fraction(x, lat.den) for x in cv]), cv)
+        key = (nrm, v if lead > 0 else tuple(-x for x in v))
         if best is None or key < best:
             best = key
     return None if best is None else best[1]

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from energia import charsum, cli, lattice, vinogradov
+from energia import charsum, cli, energy, lattice, ring, vinogradov
 from energia.sweep import CSV_COLUMNS
 
 
@@ -35,6 +35,13 @@ def test_energy_single_value(capsys):
         capsys, ["energy", "--modulus", "7", "--poly", "0,0,1", "--H", "3", "--what", "T"]
     )
     assert payload == {"T": 15}
+
+
+def test_energy_times_is_the_library_value(capsys):
+    f = ring.poly_from_string("1,0,1", 11)
+    payload, _ = _run_json(capsys, ["energy", "--modulus", "11", "--poly", "1,0,1", "--H", "7", "--what", "times"])
+    assert payload == {"energy_times": energy.energy_times(f, ring.Interval(7))}
+    assert payload["energy_times"] == 71  # x^2 + 1 on 1..7 mod 11 is {2, 4, 5, 6, 10}; 71 by quadruple scan
 
 
 def test_vinogradov_J(capsys):

@@ -505,6 +505,7 @@ def test_shortest_vector_matches_full_radius_oracle():
     assert found >= 200
 
 
+from energia import lattice  # noqa: E402
 from energia.lattice import _canonical_sign, _gauss, _svp  # noqa: E402
 from energia.ring import is_probable_prime  # noqa: E402
 
@@ -626,6 +627,49 @@ def test_scaling_onto_the_cube_keeps_the_tie_break():
             assert {box.norm(v) for v in tied} == {least} and min(tied) == want
             ties[n] += len(tied) > 1
     assert min(ties.values()) >= 30, ties
+
+
+def test_rank_two_searches_only_at_a_tie(monkeypatch):
+    """At rank 2 in the plane _svp calls _points exactly when the Gauss basis
+    ties at the first minimum within cap, g1 == g2 <= cap: below the second
+    minimum +-b1 are the only least vectors, and past cap there is none.  On
+    the pipeline's d = 2 lattices (also scaled onto the unit cube out to m, as
+    the pipeline calls it) and on small bases under bodies of equal widths,
+    where ties are common; caps at and just below g1 pin the boundary."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _points(*args)
+
+    rng = random.Random(2701)
+    seen = {"tie": 0, "strict": 0, "past": 0}
+    for k in range(2400):
+        if k % 2:
+            m = rng.randrange(2, (60, 10**4, 10**9)[k // 2 % 3])
+            H, c = rng.randrange(1, 12 if m > 1000 else 4), (200, 4, 1)[k // 6 % 3]
+            rows, ws = [(rng.randrange(m), 1), (m, 0)], (c * H, c * H * H)
+            body = WeightedBox(tuple(Fraction(m, w) for w in ws))
+            cap = body._scale
+            if k % 4 == 1:
+                rows, body, cap = [tuple(x * w for x, w in zip(r, ws)) for r in rows], WeightedBox((1, 1)), m
+        else:
+            rows = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(2)]
+            if det_int(rows) == 0:
+                continue
+            cs = (Fraction(rng.randrange(1, 13), rng.randrange(1, 4)),) * 2
+            body = WeightedBox(cs) if k % 4 else DualBody(tuple(1 / c for c in cs))
+            cap = body._scale
+        (g1, _), (g2, _) = _gauss(rows, body)
+        for limit in (cap, g1, g1 - 1):
+            calls.clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(lattice, "_points", spy)
+                got = _svp(rows, body, limit)
+            assert len(calls) == (g1 == g2 <= limit)
+            assert got == _svp_by_enumeration(rows, body, limit)
+            seen["tie" if g1 == g2 <= limit else "strict" if g1 <= limit else "past"] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def _next_prime(n):
