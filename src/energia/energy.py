@@ -13,13 +13,16 @@ self-fold of the image set plus a small correction fold of the collisions.
 The fold has two backends, and one plan, `_afford`, picks one and charges
 it before any work; `_fold` and `_fold_self` run it on the pairs they visit.
 The sparse backend merges a row {x + y: a[x] * b[y]} at a time into a
-Counter, at C speed.  The dense one, used mod m once the pairs (for a
-self-fold, the unordered ones) outnumber `_crossover(m)`, is Kronecker
-substitution: each histogram becomes one integer whose w-byte slot x
-holds the count at x, with w wide enough for min(sum(a) max(b), max(a)
-sum(b)); one big-integer product is the linear convolution, and adding its
-high half to its low half wraps it mod m.  No slot can carry into the next,
-since every fibre of the fold, wrapped or not, is at most that bound.
+Counter, at C speed.  `_fold` reduces each key of a row mod m; `_fold_self`
+sorts the keys and splits each row where x + y reaches m, so that both
+parts are plain sums, x + y and (x - m) + y.  The dense backend, used mod m
+once the pairs (for a self-fold, the unordered ones) outnumber
+`_crossover(m)`, is Kronecker substitution: each histogram becomes one
+integer whose w-byte slot x holds the count at x, with w wide enough for
+min(sum(a) max(b), max(a) sum(b)); one big-integer product is the linear
+convolution, and adding its high half to its low half wraps it mod m.  No
+slot can carry into the next, since every fibre of the fold, wrapped or
+not, is at most that bound.
 
 For a prime p the multiplicative energy is an additive one: a -> log_g a
 maps the nonzero residues onto Z/(p - 1), so the nonzero products ab = cd
@@ -40,10 +43,11 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
+from bisect import bisect_left
+from collections import Counter, _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -130,6 +134,11 @@ def _values(stage: str, f: PolyMod, interval: Interval) -> list[int]:
     return poly_values(f, interval)
 
 
+def _check_modulus(modulus: int) -> None:
+    if modulus < 2:
+        raise DomainError(f"modulus must be >= 2, got {modulus}")
+
+
 # memoryview formats of native unsigned slots; widths between them are
 # restrided into the next one, wider ones (and all, on a big-endian host,
 # where native slots are not little-endian) are read slot by slot
@@ -179,15 +188,18 @@ def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
 def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
     """The sum of the rows (x, cx, ys, cys), each {x + y: cx * cy} mod m or over Z.
 
-    A row at a time, at C speed: Counter.update when every weight is 1, else
-    one dict.update of (key, old + weight) pairs, exact even if a row repeats
-    a key: dict.update stores each pair before it draws the next (and its get).
+    A row at a time, at C speed: mod m each key pays a `%` (`_fold_self`
+    hands its rows over Z, split where they wrap).  When every weight is 1 the
+    keys are counted by `_count_elements`, the helper Counter.update calls on
+    a non-mapping; else one dict.update of (key, old + weight) pairs, exact
+    even if a row repeats a key: dict.update stores each pair before it draws
+    the next (and its get).
     """
     out: Counter[int] = Counter()
     for x, cx, ys, cys in rows:
         keys = [x + y for y in ys] if m is None else [(x + y) % m for y in ys]
         if unit and cx == 1:
-            out.update(keys)
+            _count_elements(out, keys)
         else:
             weights = cys if cx == 1 else map(mul, cys, repeat(cx))
             dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
@@ -216,17 +228,34 @@ def _fold_rows(rows: Iterable[tuple], pairs: int, stage: str = "fold") -> Counte
 def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> tuple[Counter, Counter, int]:
     """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; its n(n+1)/2 pairs are planned and charged.
 
-    The sparse backend merges each unordered pair {x, y} of keys once into
+    The sparse backend takes each unordered pair {x, y} of keys once into
     V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
     (2x = 2x' can collide mod an even m), S = 2V - D.  S[k] >= V[k], so S
     and V have the same support.  The dense backend returns S itself.
+
+    The keys are sorted, and the row of x pairs it with the keys y >= x.  Mod
+    m the keys must lie in [0, m), as for `_fold`, and the row splits at the
+    first y >= m - x: before it x + y < m, from it on the residue is
+    (x - m) + y, so no pair pays a `%`.  A unit row's keys are counted at
+    once by `_count_elements`; weighted rows go to `_merge` over Z as the two
+    halves (x, ...) and (x - m, ...).
     """
     n = len(h)
     if _afford(stage, n * (n + 1) // 2, 1, m):
         return _fold_dense(h, h, m), Counter(), 1
-    ks = list(h)
-    cs = list(h.values())
-    v = _merge(((x, cs[i], ks[i:], cs[i:]) for i, x in enumerate(ks)), m, all(c == 1 for c in cs))
+    ks = sorted(h)
+    cs = [h[k] for k in ks]
+    top = 0 if m is None else m
+    cuts = [n if m is None else bisect_left(ks, m - x, i) for i, x in enumerate(ks)]
+    if all(c == 1 for c in cs):
+        v: Counter[int] = Counter()
+        for i, (x, j) in enumerate(zip(ks, cuts)):
+            w = x - top
+            _count_elements(v, [x + y for y in ks[i:j]] + [w + y for y in ks[j:]])
+    else:
+        halves = (((x, cs[i], ks[i:j], cs[i:j]), (x - top, cs[i], ks[j:], cs[j:]))
+                  for i, (x, j) in enumerate(zip(ks, cuts)))
+        v = _merge(chain.from_iterable(halves), None, False)
     d: Counter[int] = Counter()
     for x, c in zip(ks, cs):
         d[2 * x if m is None else 2 * x % m] += c * c
@@ -245,6 +274,7 @@ def _squares(counts: Mapping[int, int]) -> int:
 
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
+    _check_modulus(modulus)
     pts = Counter({p % modulus for p in points})
     return _energy(*_fold_self(pts, modulus, "set_energy_plus"))
 
@@ -255,6 +285,7 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
     For a prime modulus and enough points, folds the discrete logs instead
     of looping over products (see the module docstring).
     """
+    _check_modulus(modulus)
     pts = sorted({p % modulus for p in points})
     if (
         _dense(len(pts) ** 2, modulus)
@@ -306,6 +337,7 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     E+ + 2 sum_k C[k] S[k] + sum_k C[k]^2, S = c V - D read at the keys of C.
     C costs |X| |A| pairs, and none at all when no two values collide.
     """
+    _check_modulus(modulus)
     hist = Counter(values)
     v, d, c = _fold_self(dict.fromkeys(hist, 1), modulus, "additive_stats")
     ep = _energy(v, d, c)
@@ -332,8 +364,7 @@ def energy_times(f: PolyMod, interval: Interval) -> int:
 
 def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int) -> int:
     """E(A, B) = #{(a, a', b, b') in A^2 x B^2 : a + b = a' + b' mod m}."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
+    _check_modulus(modulus)
     aa = Counter({p % modulus for p in a_points})
     bb = Counter({p % modulus for p in b_points})
     return _squares(_fold(aa, bb, modulus, "energy_cross"))

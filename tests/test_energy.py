@@ -567,3 +567,80 @@ def test_multiplicative_energy_prices_the_log_fold_before_the_table(monkeypatch,
         set_energy_times(range(1, n + 1), 999983)
     with pytest.raises(AssertionError, match="discrete-log table"):
         set_energy_times(range(200), 10007)  # admitted: the log route builds it
+
+
+# --- the self-fold splits each sorted row where x + y reaches m ---------------
+
+
+def _self_fold_reference(h, m):
+    """(V, D) of a self-fold mod m by a `%` per unordered pair."""
+    ks = sorted(h)
+    v, d = Counter(), Counter()
+    for i, x in enumerate(ks):
+        d[2 * x % m] += h[x] * h[x]
+        for y in ks[i:]:
+            v[(x + y) % m] += h[x] * h[y]
+    return v, d
+
+
+def _wrap_key_sets(rng, m):
+    """Key sets of Z/m at the wrap: sums equal to m, the ends 0 and m - 1, the top half."""
+    yield [rng.randrange(m)]
+    yield [0, m - 1]
+    if m <= 101:
+        yield list(range(m))
+    yield rng.sample(range(m // 2 + 1, m), min(m // 2 - 1, 9)) or [m - 1]
+    xs = rng.sample(range(1, m), min(m - 1, 6))
+    yield sorted({0, m - 1} | set(xs) | {m - x for x in xs})  # pairs x + (m - x) land on key 0
+    yield rng.sample(range(m), min(m, 12))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 7, 10, 16, 101, 1000, 1009])
+def test_self_fold_mod_m_matches_a_remainder_per_pair(m):
+    # every sparse fold runs: even m folds the diagonal 2x = 2x' onto one key
+    rng = random.Random(f"self-fold wrap:{m}")
+    with mock.patch.object(energy, "_dense", lambda pairs, m: False):
+        for keys in _wrap_key_sets(rng, m):
+            for h in (Counter(dict.fromkeys(keys, 1)), Counter({k: rng.choice((1, 2, 5, 2**33)) for k in keys})):
+                v, d, c = energy._fold_self(h, m)
+                assert (v, d, c) == (*_self_fold_reference(h, m), 2), (m, h)
+            pairs = Counter((a + b) % m for a in keys for b in keys)
+            assert set_energy_plus(keys + [k + m for k in keys], m) == energy._squares(pairs)
+            assert additive_stats(keys, m) == _naive_stats(keys, m)
+            vals = keys + keys[: len(keys) // 2]  # collisions: a weighted value histogram
+            assert additive_stats(vals, m) == _naive_stats(vals, m)
+        if m > 101:
+            return
+        # H = m: every residue class of the interval, through f's values
+        f = PolyMod((rng.randrange(m), rng.randrange(m), 1), m)
+        iv = Interval(m)
+        vals = [oracles.poly_mod(f.coeffs, x, m) for x in range(1, m + 1)]
+        t, _, ss = _naive_stats(vals, m)
+        assert (energy_T(f, iv), sumset_size(f, iv)) == (t, ss)
+
+
+@pytest.mark.parametrize("p, k", [(101, 5), (1009, 16)])
+def test_log_self_fold_matches_a_remainder_per_pair(monkeypatch, p, k):
+    # a and 1/a have logs summing to p - 1, the log fold's wrap to key 0 (without
+    # p - 1, whose doubled log would mask a misplaced wrap); the sets are large
+    # enough for the log route and small enough for a sparse fold
+    calls = _route_calls(monkeypatch)
+    rng = random.Random(f"log wrap:{p}")
+    runs = 0
+    while runs < 4:
+        xs = rng.sample(range(2, p - 1), k)
+        pts = sorted({1} | set(xs) | {pow(a, -1, p) for a in xs} | ({0} if runs % 2 else set()))
+        nonzero = len(pts) - (pts[0] == 0)
+        if not energy._dense(len(pts) ** 2, p) or energy._dense(nonzero * (nonzero + 1) // 2, p - 1):
+            continue
+        pairs = Counter(a * b % p for a in pts for b in pts)
+        assert set_energy_times(pts, p) == energy._squares(pairs)
+        runs += 1
+        assert calls == [p] * runs
+
+
+@pytest.mark.parametrize("modulus", [0, -7, 1])
+def test_set_energies_refuse_a_modulus_below_2(modulus):
+    for fn in (set_energy_plus, set_energy_times, additive_stats):
+        with pytest.raises(DomainError, match=f"modulus must be >= 2, got {modulus}"):
+            fn([1, 2, 3], modulus)
