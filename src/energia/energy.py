@@ -12,10 +12,9 @@ self-fold of the image set plus a small correction fold of the collisions.
 
 The fold has two backends, and one plan, `_afford`, picks one and charges
 it before any work; `_fold` and `_fold_self` run it on the pairs they visit.
-The sparse backend merges a row {x + y: a[x] * b[y]} at a time into a
-Counter, at C speed.  `_fold` reduces each key of a row mod m; `_fold_self`
-sorts the keys and splits each row where x + y reaches m, so that both
-parts are plain sums, x + y and (x - m) + y.  The dense backend, used mod m
+The sparse backend adds a row {x + y: a[x] * b[y]} at a time into a
+Counter over Z, at C speed; mod m each row splits where x + y reaches m
+and hands the keys past it as y - m (`_rows`).  The dense backend, used mod m
 once the pairs (for a self-fold, the unordered ones) outnumber
 `_crossover(m)`, is Kronecker substitution: each histogram becomes one
 integer whose w-byte slot x holds the count at x, with w wide enough for
@@ -47,9 +46,9 @@ from bisect import bisect_left
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, mul
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .charsum import TABLE_BUDGET, _dlog_table
 from .ring import (
@@ -185,23 +184,40 @@ def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
     return Counter(dict(zip(compress(range(m), counts), filter(None, counts))))
 
 
-def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
-    """The sum of the rows (x, cx, ys, cys), each {x + y: cx * cy} mod m or over Z.
+def _rows(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int], half: bool) -> Iterator[tuple]:
+    """The `_merge` rows (x, a[x], ys, cys) of `_fold(a, b, m)`; with half (a is b), of each unordered pair once.
 
-    A row at a time, at C speed: mod m each key pays a `%` (`_fold_self`
-    hands its rows over Z, split where they wrap).  When every weight is 1 the
-    keys are counted by `_count_elements`, the helper Counter.update calls on
-    a non-mapping; else one dict.update of (key, old + weight) pairs, exact
-    even if a row repeats a key: dict.update stores each pair before it draws
-    the next (and its get).
+    ys are b's keys, sorted once (with half, the keys y >= x), and cys their
+    weights, None if all are 1.  Mod m the keys lie in [0, m), and a row hands
+    its keys from the first y >= m - x on as y - m, so x + y is the residue;
+    a row that does not wrap hands the sorted keys themselves, not a copy.
+    """
+    ks = sorted(b)
+    cs = None if all(c == 1 for c in b.values()) else [b[k] for k in ks]
+    n = len(ks)
+    lows = ks if m is None else [k - m for k in ks]
+    for i, x in enumerate(ks if half else a):
+        lo = i if half else 0
+        hi = n if m is None else bisect_left(ks, m - x, lo)
+        ys = ks if lo == 0 and hi == n else ks[lo:hi] + lows[hi:]
+        yield x, a[x], ys, cs if cs is None or lo == 0 else cs[lo:]
+
+
+def _merge(rows: Iterable[tuple]) -> Counter:
+    """The sum over Z of the rows (x, cx, ys, cys), each {x + y: cx * cy}; cys None means all 1.
+
+    A row at a time, at C speed: a row of weight 1 throughout is counted by
+    `_count_elements`, the helper Counter.update calls on a non-mapping;
+    else one dict.update of (key, old + weight) pairs, exact even if a row
+    repeats a key: dict.update stores each pair before it draws the next (and its get).
     """
     out: Counter[int] = Counter()
     for x, cx, ys, cys in rows:
-        keys = [x + y for y in ys] if m is None else [(x + y) % m for y in ys]
-        if unit and cx == 1:
+        keys = [x + y for y in ys]
+        if cys is None and cx == 1:
             _count_elements(out, keys)
         else:
-            weights = cys if cx == 1 else map(mul, cys, repeat(cx))
+            weights = repeat(cx) if cys is None else cys if cx == 1 else map(mul, cys, repeat(cx))
             dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
     return out
 
@@ -209,55 +225,36 @@ def _merge(rows: Iterable[tuple], m: Optional[int], unit: bool) -> Counter:
 def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> Counter:
     """{x + y: sum of a[x] * b[y]} mod m (over Z if m is None), once `_afford` plans its |a| |b| pairs.
 
-    Mod m the keys must lie in [0, m) and the counts be positive.  The sparse
-    backend merges one row per x of the shorter histogram (`_merge`).
+    Mod m the counts must be positive and the keys lie in [0, m): the sparse
+    backend (`_rows`) wraps each row once, at m.
     """
     if _afford(stage, len(a), len(b), m):
         return _fold_dense(a, b, m)
     if len(a) > len(b):
         a, b = b, a  # the longer histogram runs in the inner loop
-    return _merge(((x, cx, b, b.values()) for x, cx in a.items()), m, all(c == 1 for c in b.values()))
+    return _merge(_rows(a, b, m, False))
 
 
 def _fold_rows(rows: Iterable[tuple], pairs: int, stage: str = "fold") -> Counter:
-    """`_merge` of weighted rows over Z that hold `pairs` pairs, once `_afford` charges them."""
+    """`_merge` of rows over Z that hold `pairs` pairs, once `_afford` charges them."""
     _afford(stage, pairs, 1)
-    return _merge(rows, None, False)
+    return _merge(rows)
 
 
 def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> tuple[Counter, Counter, int]:
     """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; its n(n+1)/2 pairs are planned and charged.
 
-    The sparse backend takes each unordered pair {x, y} of keys once into
-    V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}
-    (2x = 2x' can collide mod an even m), S = 2V - D.  S[k] >= V[k], so S
-    and V have the same support.  The dense backend returns S itself.
-
-    The keys are sorted, and the row of x pairs it with the keys y >= x.  Mod
-    m the keys must lie in [0, m), as for `_fold`, and the row splits at the
-    first y >= m - x: before it x + y < m, from it on the residue is
-    (x - m) + y, so no pair pays a `%`.  A unit row's keys are counted at
-    once by `_count_elements`; weighted rows go to `_merge` over Z as the two
-    halves (x, ...) and (x - m, ...).
+    The sparse backend takes each unordered pair {x, y} of keys once (`_rows`)
+    into V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2} (2x = 2x'
+    can collide mod an even m), S = 2V - D, which has V's support.  The dense
+    backend returns S itself.  Mod m the keys must lie in [0, m), as for `_fold`.
     """
     n = len(h)
     if _afford(stage, n * (n + 1) // 2, 1, m):
         return _fold_dense(h, h, m), Counter(), 1
-    ks = sorted(h)
-    cs = [h[k] for k in ks]
-    top = 0 if m is None else m
-    cuts = [n if m is None else bisect_left(ks, m - x, i) for i, x in enumerate(ks)]
-    if all(c == 1 for c in cs):
-        v: Counter[int] = Counter()
-        for i, (x, j) in enumerate(zip(ks, cuts)):
-            w = x - top
-            _count_elements(v, [x + y for y in ks[i:j]] + [w + y for y in ks[j:]])
-    else:
-        halves = (((x, cs[i], ks[i:j], cs[i:j]), (x - top, cs[i], ks[j:], cs[j:]))
-                  for i, (x, j) in enumerate(zip(ks, cuts)))
-        v = _merge(chain.from_iterable(halves), None, False)
+    v = _merge(_rows(h, h, m, True))
     d: Counter[int] = Counter()
-    for x, c in zip(ks, cs):
+    for x, c in h.items():
         d[2 * x if m is None else 2 * x % m] += c * c
     return v, d, 2
 
@@ -339,6 +336,8 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     """
     _check_modulus(modulus)
     hist = Counter(values)
+    if hist and not 0 <= min(hist) <= max(hist) < modulus:  # the folds take keys in [0, m)
+        hist = Counter(x % modulus for x in hist.elements())
     v, d, c = _fold_self(dict.fromkeys(hist, 1), modulus, "additive_stats")
     ep = _energy(v, d, c)
     excess = {x: n - 1 for x, n in hist.items() if n > 1}

@@ -344,6 +344,21 @@ def test_additive_stats_with_heavy_collisions(coeffs, m, H, dense_correction):
     assert additive_stats(vals, m) == _naive_stats(vals, m)
 
 
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("m", [5, 97, 10007])
+def test_additive_stats_reduce_values_outside_0_m(m, dense):
+    # the folds take keys in [0, m): unreduced values once summed to wrong
+    # residues on the sparse backend and ran off the packed slots on the dense one
+    rng = random.Random(f"unreduced values:{m}")
+    cases = [[-1, 0, 2], [m + 1, 0, 2], [2 * m - 1, -m, 2, 2 + m, -1]]
+    for _ in range(20):  # a few residues, each lifted by some multiple of m: collisions
+        pool = rng.sample(range(m), min(m, 4))
+        cases.append([rng.choice(pool) + m * rng.randrange(-3, 4) for _ in range(rng.randint(1, 10))])
+    with mock.patch.object(energy, "_dense", lambda pairs, m: dense):
+        for vals in cases:
+            assert additive_stats(vals, m) == _naive_stats([v % m for v in vals], m), vals
+
+
 def test_fold_budget_prices_the_backend_fold_would_pick():
     energy._afford("x", 10**4, 10**3)  # exactly the budget
     with pytest.raises(BudgetExceeded, match="x: .*FOLD_BUDGET = 10000000"):
@@ -450,10 +465,10 @@ def _fold_ledger(monkeypatch):
         events.append(("charge", stage, units, name, caller in ("_fold", "_fold_self", "_fold_rows")))
         charge(stage, units, unit, budget, name)
 
-    def spy_merge(rows, m, unit):
-        rows = list(rows)  # (x, cx, ys, cys): one pair per y of each row
-        events.append(("sparse", m, sum(len(ys) for _, _, ys, _ in rows)))
-        return merge(rows, m, unit)
+    def spy_merge(rows):
+        rows = list(rows)  # (x, cx, ys, cys): one pair per y of each row; the merge sees no modulus
+        events.append(("sparse", None, sum(len(ys) for _, _, ys, _ in rows)))
+        return merge(rows)
 
     def spy_dense(a, b, m):
         events.append(("dense", m, len(a) * len(b)))
@@ -475,9 +490,8 @@ def _check_ledger(events, stages):
         before = events[i - 1] if i else ("none",)
         assert before[0] == "charge" and before[3] == "FOLD_BUDGET" and before[4], (before, event)
         assert before[1] in stages, (before, stages)
-        if kind == "sparse":  # the pairs the rows hold are the pairs visited
-            assert m is None or pairs <= energy._crossover(m)
-            assert before[2] == (pairs if m is None else min(pairs, energy._crossover(m)))
+        if kind == "sparse":  # the pairs the rows hold are the pairs visited; as a fold mod m
+            assert before[2] == pairs  # is charged min(pairs, crossover), none runs past it
         else:  # dense: more pairs than the crossover, charged the crossover
             assert pairs > energy._crossover(m) and before[2] == energy._crossover(m)
         kinds.append(kind)
@@ -526,7 +540,7 @@ def test_every_fold_is_charged_once_for_the_backend_that_runs(monkeypatch):
 def test_self_fold_is_charged_its_unordered_pairs(monkeypatch):
     # 4471 * 4472 / 2 pairs fit FOLD_BUDGET, 4472 * 4473 / 2 do not; the
     # merge is stubbed so that the admitted fold does not run
-    monkeypatch.setattr(energy, "_merge", lambda rows, m, unit: Counter())
+    monkeypatch.setattr(energy, "_merge", lambda rows: Counter())
     set_energy_plus(range(4471), 10**9)
     with pytest.raises(BudgetExceeded, match="set_energy_plus: 10001628 pair steps"):
         set_energy_plus(range(4472), 10**9)
@@ -546,15 +560,14 @@ def test_merge_is_exact_when_a_row_repeats_a_key():
     # dict.update stores each (key, old + weight) pair before drawing the next,
     # so a key repeated within a row adds up as in a plain loop
     rng = random.Random("repeated keys")
-    for m in (None, 7):
-        for unit in (False, True):
-            rows = [(rng.randrange(-9, 9), rng.choice((1, 3)), [rng.randrange(5) for _ in range(12)],
-                     [1 if unit else rng.randrange(1, 9) for _ in range(12)]) for _ in range(6)]
-            want = Counter()
-            for x, cx, ys, cys in rows:
-                for y, cy in zip(ys, cys):
-                    want[x + y if m is None else (x + y) % m] += cx * cy
-            assert energy._merge(rows, m, unit) == want
+    for unit in (False, True):
+        rows = [(rng.randrange(-9, 9), rng.choice((1, 3)), [rng.randrange(5) for _ in range(12)],
+                 None if unit else [rng.randrange(1, 9) for _ in range(12)]) for _ in range(6)]
+        want = Counter()
+        for x, cx, ys, cys in rows:
+            for y, cy in zip(ys, cys or [1] * len(ys)):
+                want[x + y] += cx * cy
+        assert energy._merge(rows) == want
 
 
 @pytest.mark.parametrize("n", [5000, 7000])
@@ -599,11 +612,19 @@ def _wrap_key_sets(rng, m):
 def test_self_fold_mod_m_matches_a_remainder_per_pair(m):
     # every sparse fold runs: even m folds the diagonal 2x = 2x' onto one key
     rng = random.Random(f"self-fold wrap:{m}")
+    cross = random.Random(f"cross fold wrap:{m}")
     with mock.patch.object(energy, "_dense", lambda pairs, m: False):
         for keys in _wrap_key_sets(rng, m):
             for h in (Counter(dict.fromkeys(keys, 1)), Counter({k: rng.choice((1, 2, 5, 2**33)) for k in keys})):
                 v, d, c = energy._fold_self(h, m)
                 assert (v, d, c) == (*_self_fold_reference(h, m), 2), (m, h)
+                # the cross fold with a shorter and a longer side holding each m - x:
+                # every row of the shorter one reaches the wrap exactly
+                mirror = [(m - k) % m for k in keys]
+                longer = mirror + [k for k in cross.sample(range(m), min(m, 3)) if k not in mirror]
+                for other in (mirror[: len(mirror) - 1] or mirror, longer):
+                    b = Counter({k: 1 if max(h.values()) == 1 else cross.choice((1, 3, 2**33)) for k in other})
+                    assert energy._fold(h, b, m) == _pair_loop(h, b, m), (m, h, b)
             pairs = Counter((a + b) % m for a in keys for b in keys)
             assert set_energy_plus(keys + [k + m for k in keys], m) == energy._squares(pairs)
             assert additive_stats(keys, m) == _naive_stats(keys, m)

@@ -553,7 +553,8 @@ def test_gauss_matches_the_general_search():
         want = _svp_by_enumeration(rows, body, cap)
         assert _svp(rows, body, cap) == want
         # b1, b2 is a basis at the two successive minima, and each least
-        # vector is x b1 + y b2 with |x|, |y| <= 2, the candidates of _svp
+        # vector is x b1 + y b2 with |x|, |y| <= 2 (a bound _svp does not use:
+        # a tie g1 == g2 goes to the same search as here)
         (g1, b1), (g2, b2) = _gauss(rows, body)
         det = b1[0] * b2[1] - b1[1] * b2[0]
         assert g1 <= g2 and abs(det) == abs(det_int(rows))

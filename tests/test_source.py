@@ -68,3 +68,32 @@ def test_the_private_name_check_sees_what_it_should():
     a = "_A = 1\n_B: int = 2\n__all__ = []\nclass _C:\n    def __init__(self): self._x = _A\n    def _m(self): pass\n    def _n(self): pass\n"
     b = "from a import _C\ndef _f():\n    def _g(): pass\n    return _C()._n()\n"
     assert _dead_private_names({"a.py": a, "b.py": b}) == ["a.py: _m (line 6)", "a.py: _B (line 2)", "b.py: _f (line 2)", "b.py: _g (line 3)"]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """The parameters of each function and lambda in source that its body never
+    reads; self and cls are skipped, since an override may not need its instance."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {"self", "cls"} | {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            found += [f"{name}: {p.arg} (line {node.lineno})" for p in params if p.arg not in read]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert _unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_parameter_check_sees_what_it_should():
+    src = ("def f(a, /, b, *args, c, d=1, **kw):\n    def g(e):\n        return a + c\n    return g\n"
+           "h = lambda x, y: x\nclass K:\n    def m(self, z=2):\n        return 1\n")
+    assert _unread_parameters(src) == [
+        "f: b (line 1)", "f: d (line 1)", "f: args (line 1)", "f: kw (line 1)",
+        "g: e (line 2)", "<lambda>: y (line 5)", "m: z (line 7)"]
+    assert _unread_parameters("def f(a, *, b):\n    return lambda c: a + b + c\n") == []
