@@ -335,9 +335,7 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     C costs |X| |A| pairs, and none at all when no two values collide.
     """
     _check_modulus(modulus)
-    hist = Counter(values)
-    if hist and not 0 <= min(hist) <= max(hist) < modulus:  # the folds take keys in [0, m)
-        hist = Counter(x % modulus for x in hist.elements())
+    hist = Counter(x % modulus for x in values)
     v, d, c = _fold_self(dict.fromkeys(hist, 1), modulus, "additive_stats")
     ep = _energy(v, d, c)
     excess = {x: n - 1 for x, n in hist.items() if n > 1}
