@@ -43,6 +43,7 @@ class BoundParams:
             raise DomainError("alpha must not exceed beta")
 
 
+@functools.lru_cache(maxsize=16)
 def alpha_beta(d: int) -> BoundParams:
     if d < 2:
         raise DomainError(f"degree must be >= 2, got {d}")

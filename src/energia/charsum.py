@@ -148,7 +148,8 @@ def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
     """Sum of chi(f(x)) over all residues x, with the square-root bound check.
 
     Tabulates f over 0..p-1 (`poly_table`) and histograms the discrete logs
-    of its nonzero values mod the order of chi with C iterators; each class
+    of its nonzero values mod the order of chi with C iterators, through one
+    periodic list of the classes that also sends a zero value aside; each class
     then maps to one exact character exponent, so the complex rounding
     enters once per exponent class rather than once per term.  Priced at
     p * (d + 1) against SUM_BUDGET before it runs.
@@ -159,11 +160,13 @@ def complete_sum_poly(table: CharTable, f: PolyMod) -> WeilRecord:
     cs = f.coeffs
     d = f.degree
     _charge("a complete sum", p * (d + 1), "character evaluations", SUM_BUDGET, "SUM_BUDGET")
-    nonzero = list(filter(None, poly_table(cs, 0, p, p)))
-    # itemgetter returns a bare entry for one key and refuses none
-    logs = itemgetter(*nonzero)(table.dlog) if len(nonzero) > 1 else [table.dlog[v] for v in nonzero]
-    r = table.order  # chi(g^a) depends on a mod r only
-    hist = {table.order_index * a % (p - 1): c for a, c in Counter(map(r.__rmod__, logs)).items()}
+    r = table.order  # chi(g^a) depends on a mod r only, and r divides p - 1
+    # classes[a] = a mod r for a log a; a zero value's log -1 reads the extra class r
+    classes = list(range(r)) * ((p - 1) // r) + [r]
+    logs = itemgetter(*poly_table(cs, 0, p, p))(table.dlog)  # p >= 3 keys: a tuple
+    counts = Counter(itemgetter(*logs)(classes))
+    counts.pop(r, None)
+    hist = {table.order_index * a % (p - 1): c for a, c in counts.items()}
     total = 0j
     for e in sorted(hist):
         total += hist[e] * cmath.exp(2j * cmath.pi * e / (p - 1))

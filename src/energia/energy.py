@@ -12,16 +12,18 @@ self-fold of the image set plus a small correction fold of the collisions.
 
 The fold has two backends, and one plan, `_afford`, picks one and charges
 it before any work; `_fold` and `_fold_self` run it on the pairs they visit.
-The sparse backend adds a row {x + y: a[x] * b[y]} at a time into a
-Counter over Z, at C speed; mod m each row splits where x + y reaches m
-and hands the keys past it as y - m (`_rows`).  The dense backend, used mod m
-once the pairs (for a self-fold, the unordered ones) outnumber
-`_crossover(m)`, is Kronecker substitution: each histogram becomes one
-integer whose w-byte slot x holds the count at x, with w wide enough for
-min(sum(a) max(b), max(a) sum(b)); one big-integer product is the linear
-convolution, and adding its high half to its low half wraps it mod m.  No
-slot can carry into the next, since every fibre of the fold, wrapped or
-not, is at most that bound.
+The sparse backend builds the keys x + y of a block of rows of about
+_BATCH pairs in one flat comprehension and adds them, weighted by
+a[x] * b[y], into a Counter over Z with one C call a batch, so no fold
+holds more than a batch of pairs; mod m each row splits where x + y
+reaches m and hands the keys past it as y - m (`_rows`).  The dense
+backend, used mod m once the pairs (for a self-fold, the unordered ones)
+outnumber `_crossover(m)`, is Kronecker substitution: each histogram
+becomes one integer whose w-byte slot x holds the count at x, with w wide
+enough for min(sum(a) max(b), max(a) sum(b)); one big-integer product is
+the linear convolution, and adding its high half to its low half wraps it
+mod m.  No slot can carry into the next, since every fibre of the fold,
+wrapped or not, is at most that bound.
 
 For a prime p the multiplicative energy is an additive one: a -> log_g a
 maps the nonzero residues onto Z/(p - 1), so the nonzero products ab = cd
@@ -42,11 +44,11 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter, _count_elements
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -63,6 +65,7 @@ from .ring import (
 PAIR_SUM = "pair-sum"
 PAIR_DIFFERENCE = "pair-difference"
 FOLD_BUDGET = 10**7  # sparse pair steps per fold; a dense fold counts as its break-even pair count
+_BATCH = 2**16  # pairs per sparse batch (`_rows`), each counted by one C call
 
 
 @dataclass
@@ -185,39 +188,50 @@ def _fold_dense(a: Mapping[int, int], b: Mapping[int, int], m: int) -> Counter:
 
 
 def _rows(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int], half: bool) -> Iterator[tuple]:
-    """The `_merge` rows (x, a[x], ys, cys) of `_fold(a, b, m)`; with half (a is b), of each unordered pair once.
+    """The `_merge` batches (keys, weights) of `_fold(a, b, m)`; with half (a is b), of each unordered pair once.
 
-    ys are b's keys, sorted once (with half, the keys y >= x), and cys their
-    weights, None if all are 1.  Mod m the keys lie in [0, m), and a row hands
-    its keys from the first y >= m - x on as y - m, so x + y is the residue;
-    a row that does not wrap hands the sorted keys themselves, not a copy.
+    A batch holds the pairs of a block of rows x of a, in order, about
+    _BATCH pairs or one row; a row holds b's keys y, sorted once (with half,
+    the keys y >= x only).  Mod m the keys lie in [0, m), and a row hands its
+    keys from the first y >= m - x on as y - m, so x + y is the residue.  A
+    batch's keys come from one flat comprehension; its weights a[x] b[y] are
+    None if all are 1, else one flat list.
     """
     ks = sorted(b)
-    cs = None if all(c == 1 for c in b.values()) else [b[k] for k in ks]
     n = len(ks)
+    xs = ks if half else list(a)
     lows = ks if m is None else [k - m for k in ks]
-    for i, x in enumerate(ks if half else a):
-        lo = i if half else 0
-        hi = n if m is None else bisect_left(ks, m - x, lo)
-        ys = ks if lo == 0 and hi == n else ks[lo:hi] + lows[hi:]
-        yield x, a[x], ys, cs if cs is None or lo == 0 else cs[lo:]
+    cs = cxs = None
+    if any(c != 1 for c in b.values()) or not half and any(c != 1 for c in a.values()):
+        cs = [b[k] for k in ks]
+        cxs = cs if half else [a[x] for x in xs]
+    ends = list(accumulate(range(n, 0, -1) if half else repeat(n, len(xs))))  # the pairs through each row
+    r0 = done = 0
+    while r0 < len(xs):
+        r1 = max(r0 + 1, bisect_right(ends, done + _BATCH, r0))
+        los = range(r0, r1) if half else (0,) * (r1 - r0)
+        if m is None:
+            keys = [x + y for lo, x in zip(los, xs[r0:r1]) for y in ks[lo:]]
+        else:
+            keys = [x + y for lo, x in zip(los, xs[r0:r1]) for hi in (bisect_left(ks, m - x, lo),) for y in ks[lo:hi] + lows[hi:]]
+        yield keys, None if cs is None else [cx * cy for lo, cx in zip(los, cxs[r0:r1]) for cy in cs[lo:]]
+        r0, done = r1, ends[r1 - 1]
 
 
-def _merge(rows: Iterable[tuple]) -> Counter:
-    """The sum over Z of the rows (x, cx, ys, cys), each {x + y: cx * cy}; cys None means all 1.
+def _merge(batches: Iterable[tuple]) -> Counter:
+    """The sum over Z of the batches (keys, weights), each {key: weight}; weights None means all 1.
 
-    A row at a time, at C speed: a row of weight 1 throughout is counted by
-    `_count_elements`, the helper Counter.update calls on a non-mapping;
-    else one dict.update of (key, old + weight) pairs, exact even if a row
-    repeats a key: dict.update stores each pair before it draws the next (and its get).
+    A batch at a time, at C speed: a unit batch is counted by
+    `_count_elements`, the helper Counter.update calls on a non-mapping; else
+    one dict.update of (key, old + weight) pairs, exact though a batch
+    repeats keys: dict.update stores each pair before it draws the next, and
+    with it the next lazy get.
     """
     out: Counter[int] = Counter()
-    for x, cx, ys, cys in rows:
-        keys = [x + y for y in ys]
-        if cys is None and cx == 1:
+    for keys, weights in batches:
+        if weights is None:
             _count_elements(out, keys)
         else:
-            weights = repeat(cx) if cys is None else cys if cx == 1 else map(mul, cys, repeat(cx))
             dict.update(out, zip(keys, map(add, map(out.get, keys, repeat(0)), weights)))
     return out
 
@@ -235,10 +249,10 @@ def _fold(a: Mapping[int, int], b: Mapping[int, int], m: Optional[int] = None, s
     return _merge(_rows(a, b, m, False))
 
 
-def _fold_rows(rows: Iterable[tuple], pairs: int, stage: str = "fold") -> Counter:
-    """`_merge` of rows over Z that hold `pairs` pairs, once `_afford` charges them."""
+def _fold_rows(batches: Iterable[tuple], pairs: int, stage: str = "fold") -> Counter:
+    """`_merge` of batches over Z that hold `pairs` pairs, once `_afford` charges them."""
     _afford(stage, pairs, 1)
-    return _merge(rows)
+    return _merge(batches)
 
 
 def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold") -> tuple[Counter, Counter, int]:

@@ -12,6 +12,7 @@ and `int_poly_eval` stay for single points.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -189,9 +190,12 @@ def inv_mod(a: int, m: int) -> int:
         raise DomainError(f"{a} is not invertible mod {m}") from exc
 
 
-# psi_13, the least strong pseudoprime to every prime base up to 41: below it
-# Miller-Rabin to those 13 bases decides primality exactly
-_MR_EXACT_BELOW = 3317044064679887385961981
+# psi_k (OEIS A014233), the least strong pseudoprime to each of the first k
+# prime bases, for k = 1..7, 9, 12, 13 (psi_8 = psi_7, psi_10 = psi_11 =
+# psi_9): below psi_k Miller-Rabin to those k bases decides primality exactly
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+_PSI_BASES = (1, 2, 3, 4, 5, 6, 7, 9, 12, 13, 13)  # the k below _PSI[i]; 13 from psi_13 on
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -248,10 +252,11 @@ def _strong_lucas(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin to the 13 prime bases up to 41, exact below psi_13 ~ 3.3e24.
+    """Miller-Rabin to the first k prime bases, exact below psi_k, k <= 13 (psi_13 ~ 3.3e24).
 
-    From psi_13 on, a strong Lucas test is added, which makes it the
-    Baillie-PSW test: no composite is known to pass it.
+    k is the least of 1..7, 9, 12 with n < psi_k.  From psi_13 on, all 13
+    bases up to 41 are tested and a strong Lucas test is added, which makes
+    it the Baillie-PSW test: no composite is known to pass it.
     """
     if n < 2:
         return False
@@ -264,7 +269,7 @@ def is_probable_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in small:
+    for a in small[: _PSI_BASES[bisect_right(_PSI, n)]]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -274,7 +279,7 @@ def is_probable_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_EXACT_BELOW or _strong_lucas(n)
+    return n < _PSI[-1] or _strong_lucas(n)
 
 
 def poly_from_string(text: str, modulus: int) -> PolyMod:

@@ -18,7 +18,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterator, Optional, Sequence
 
 from .bounds import _slope
@@ -91,17 +92,19 @@ def _by_multisets(n: int, s: int, spans: Sequence[int]) -> bool:
 
 
 def _multiset_rows(s: int, singles: Sequence[int]) -> Iterator[tuple]:
-    """Each multiset of s of the singles once, as `_merge` rows (m v, C(s, m), sums, orderings).
+    """Each multiset of s of the singles once, as `_merge` batches (sums, orderings), one a row.
 
     layers[k] holds the sums of the k-multisets of the singles so far and their k!/prod m_i!
     orderings; m copies of the next single v add m v and multiply the orderings by C(k + m, m).
-    Larger layers go first, so none takes v twice."""
+    Larger layers go first, so none takes v twice.  A batch reads its layer's orderings
+    uncopied, even lazily: it is merged before the layer grows, and a layer only grows at its end."""
     layers = {0: ([0], [1])}
     for i, v in enumerate(singles, 1 - len(singles)):  # i = 0 at the last single: only complete
         for k, (keys, counts) in sorted(layers.items(), reverse=True):
             for m in range(s - k if i == 0 else 1, s - k + 1):
                 if k + m == s:
-                    yield m * v, math.comb(s, m), keys[:], counts[:]  # the layer grows on
+                    mv, c = m * v, math.comb(s, m)
+                    yield [mv + y for y in keys], counts if c == 1 else map(mul, counts, repeat(c))
                 else:
                     ks, cs = layers.setdefault(k + m, ([], []))
                     ks.extend(map((m * v).__add__, keys))

@@ -29,6 +29,13 @@ def test_alpha_beta_invariants():
         assert 0 < p.alpha <= p.beta < 1
 
 
+def test_alpha_beta_is_computed_once_per_degree():
+    assert alpha_beta(7) is alpha_beta(7)
+    for _ in range(2):  # a refusal is not cached
+        with pytest.raises(DomainError):
+            alpha_beta(1)
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         alpha_beta(1)

@@ -102,6 +102,26 @@ def test_complete_sum_matches_horner_oracle():
                 assert rec.value == value
 
 
+def test_complete_sum_classes_match_horner_oracle_bit_for_bit():
+    # orders r = 2, 3, (p - 1)/2 and p - 1, and polynomials with roots (a
+    # zero value falls in the extra class r) or without
+    rng = random.Random("complete sum classes")
+    odd = [q for q in primes_up_to(2000) if q > 3 and (q - 1) % 3 == 0]
+    for p in [7, 13, 19] + rng.sample(odd, 6):
+        for k in ((p - 1) // 2, (p - 1) // 3, 2, 1):
+            t = CharTable.build(p, k)
+            assert t.order == {(p - 1) // 2: 2, (p - 1) // 3: 3, 2: (p - 1) // 2, 1: p - 1}[k]
+            roots = rng.sample(range(p), rng.randint(0, 3))
+            f = [rng.randrange(1, p)]
+            for a in roots:  # f (x - a) for each root a
+                f = [(lo - a * hi) % p for lo, hi in zip([0] + f, f + [0])]
+            f = PolyMod(tuple(f) if roots else (rng.randrange(p), rng.randrange(p), 1), p)
+            rec, want = complete_sum_poly(t, f), complete_sum_horner(t, f)
+            assert rec == want, (p, k, f.coeffs)
+            assert [x.hex() for x in (rec.value.real, rec.value.imag, rec.magnitude)] == [
+                x.hex() for x in (want.value.real, want.value.imag, want.magnitude)]
+
+
 def test_weil_admissibility_detects_squares():
     t = CharTable.build(11)
     # (x+1)^2 = x^2 + 2x + 1 has zero discriminant: not admissible

@@ -3,6 +3,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from itertools import count
 from unittest import mock
 
 import pytest
@@ -455,7 +456,7 @@ def _fold_ledger(monkeypatch):
     """The FOLD_BUDGET charges and the backend calls of every fold, in order.
 
     A charge records whether `_afford` was called from a fold or from a
-    guard; a sparse call records the pairs its rows hold, a dense one |a| |b|.
+    guard; a sparse call records the pairs its batches hold, a dense one |a| |b|.
     """
     events = []
     charge, merge, dense = energy._charge, energy._merge, energy._fold_dense
@@ -465,10 +466,10 @@ def _fold_ledger(monkeypatch):
         events.append(("charge", stage, units, name, caller in ("_fold", "_fold_self", "_fold_rows")))
         charge(stage, units, unit, budget, name)
 
-    def spy_merge(rows):
-        rows = list(rows)  # (x, cx, ys, cys): one pair per y of each row; the merge sees no modulus
-        events.append(("sparse", None, sum(len(ys) for _, _, ys, _ in rows)))
-        return merge(rows)
+    def spy_merge(batches):
+        batches = list(batches)  # (keys, weights): one pair per key; the merge sees no modulus
+        events.append(("sparse", None, sum(len(keys) for keys, _ in batches)))
+        return merge(batches)
 
     def spy_dense(a, b, m):
         events.append(("dense", m, len(a) * len(b)))
@@ -490,7 +491,7 @@ def _check_ledger(events, stages):
         before = events[i - 1] if i else ("none",)
         assert before[0] == "charge" and before[3] == "FOLD_BUDGET" and before[4], (before, event)
         assert before[1] in stages, (before, stages)
-        if kind == "sparse":  # the pairs the rows hold are the pairs visited; as a fold mod m
+        if kind == "sparse":  # the pairs the batches hold are the pairs visited; as a fold mod m
             assert before[2] == pairs  # is charged min(pairs, crossover), none runs past it
         else:  # dense: more pairs than the crossover, charged the crossover
             assert pairs > energy._crossover(m) and before[2] == energy._crossover(m)
@@ -540,7 +541,7 @@ def test_every_fold_is_charged_once_for_the_backend_that_runs(monkeypatch):
 def test_self_fold_is_charged_its_unordered_pairs(monkeypatch):
     # 4471 * 4472 / 2 pairs fit FOLD_BUDGET, 4472 * 4473 / 2 do not; the
     # merge is stubbed so that the admitted fold does not run
-    monkeypatch.setattr(energy, "_merge", lambda rows: Counter())
+    monkeypatch.setattr(energy, "_merge", lambda batches: Counter())
     set_energy_plus(range(4471), 10**9)
     with pytest.raises(BudgetExceeded, match="set_energy_plus: 10001628 pair steps"):
         set_energy_plus(range(4472), 10**9)
@@ -556,18 +557,20 @@ def test_multiplicative_energy_refuses_past_the_fold_budget_at_once(n):
     assert time.perf_counter() - t0 < 1.0
 
 
-def test_merge_is_exact_when_a_row_repeats_a_key():
-    # dict.update stores each (key, old + weight) pair before drawing the next,
-    # so a key repeated within a row adds up as in a plain loop
+def test_merge_is_exact_when_a_batch_repeats_a_key():
+    # dict.update stores each (key, old + weight) pair before it draws the next
+    # pair and, with it, the next lazy get, so a key repeated within a batch
+    # adds up as in a plain loop; 12 keys of 9 values repeat in every batch
     rng = random.Random("repeated keys")
-    for unit in (False, True):
-        rows = [(rng.randrange(-9, 9), rng.choice((1, 3)), [rng.randrange(5) for _ in range(12)],
-                 None if unit else [rng.randrange(1, 9) for _ in range(12)]) for _ in range(6)]
-        want = Counter()
-        for x, cx, ys, cys in rows:
-            for y, cy in zip(ys, cys or [1] * len(ys)):
-                want[x + y] += cx * cy
-        assert energy._merge(rows) == want
+    for kind in ("unit", "list", "lazy"):
+        batches, want = [], Counter()
+        for _ in range(6):
+            keys = [rng.randrange(-4, 5) for _ in range(12)]
+            ws = [1] * 12 if kind == "unit" else [rng.randrange(1, 9) for _ in range(12)]
+            for k, w in zip(keys, ws):
+                want[k] += w
+            batches.append((keys, {"unit": None, "list": ws, "lazy": iter(ws)}[kind]))
+        assert energy._merge(batches) == want
 
 
 @pytest.mark.parametrize("n", [5000, 7000])
@@ -665,3 +668,79 @@ def test_set_energies_refuse_a_modulus_below_2(modulus):
     for fn in (set_energy_plus, set_energy_times, additive_stats):
         with pytest.raises(DomainError, match=f"modulus must be >= 2, got {modulus}"):
             fn([1, 2, 3], modulus)
+
+
+# --- a sparse fold runs in batches of about _BATCH pairs ---------------------
+
+
+def _half_pair_loop(h, m):
+    """V of a self-fold: each unordered pair of keys once, by a plain loop."""
+    ks = sorted(h)
+    v = Counter()
+    for i, x in enumerate(ks):
+        for y in ks[i:]:
+            v[x + y if m is None else (x + y) % m] += h[x] * h[y]
+    return v
+
+
+@pytest.mark.parametrize("m", [None, 2, 7, 16, 101, 1009])
+def test_folds_across_many_batches_match_a_pair_loop(monkeypatch, m):
+    # batches of 7 pairs: rows of up to 7 keys share a batch, longer ones
+    # take one each; the keys come out in the order one batch would give
+    rng = random.Random(f"batches:{m}")
+    monkeypatch.setattr(energy, "_dense", lambda pairs, m: False)
+    pool = range(-60, 60) if m is None else range(m)
+    key_sets = [rng.sample(pool, n) for n in (1, 2, 3, 5, 8, 13, 20)] if m is None else _wrap_key_sets(rng, m)
+    for keys in key_sets:
+        unit = Counter(dict.fromkeys(keys, 1))
+        weighted = Counter({k: rng.choice((1, 2, 5, 2**33)) for k in keys})
+        others = [rng.sample(pool, rng.randint(1, min(len(pool), 9))) for _ in range(2)]
+        for h in (unit, weighted):
+            monkeypatch.setattr(energy, "_BATCH", 2**16)
+            one_v, one_d, _ = energy._fold_self(h, m)
+            monkeypatch.setattr(energy, "_BATCH", 7)
+            v, d, c = energy._fold_self(h, m)
+            assert v == _half_pair_loop(h, m) and (d, c) == (one_d, 2), (m, h)
+            assert list(v) == list(one_v)
+            for other in others:
+                for b in (Counter(dict.fromkeys(other, 1)), Counter({k: rng.choice((1, 3, 2**40)) for k in other})):
+                    monkeypatch.setattr(energy, "_BATCH", 2**16)
+                    one = energy._fold(h, b, m)
+                    monkeypatch.setattr(energy, "_BATCH", 7)
+                    got = energy._fold(h, b, m)
+                    assert got == _pair_loop(h, b, m), (m, h, b)
+                    assert list(got) == list(one)
+
+
+def test_no_batch_list_exceeds_a_batch_and_one_row(monkeypatch):
+    # folds of 3-4 batches at the default _BATCH, unit and weighted, self and
+    # cross, mod m and over Z; each list handed to a C count holds at most
+    # _BATCH pairs plus one row, and every batch but the last is nearly full
+    sizes = []
+    count_elements = energy._count_elements
+
+    def spy_count(out, keys):
+        sizes.append(len(keys))
+        count_elements(out, keys)
+
+    class SpyDict(dict):  # the energy module's `dict`: records the pairs each dict.update draws
+        @staticmethod
+        def update(out, pairs):
+            seen = count()  # advanced once per pair drawn, so the gets stay lazy
+            dict.update(out, (pair for pair, _ in zip(pairs, seen)))
+            sizes.append(next(seen))
+
+    monkeypatch.setattr(energy, "_count_elements", spy_count)
+    monkeypatch.setattr(energy, "dict", SpyDict, raising=False)
+    rng = random.Random("batch sizes")
+    big = energy._BATCH
+    for m in (None, 10**9 + 7):
+        keys = rng.sample(range(10**6), 600)
+        for w in (1, 3):
+            h = Counter(dict.fromkeys(keys, w))
+            for fold, pairs, row in ((lambda: energy._fold_self(h, m), 600 * 601 // 2, 600),
+                                     (lambda: energy._fold(h, Counter(keys[:350]), m), 600 * 350, 600)):
+                sizes.clear()
+                fold()
+                assert sum(sizes) == pairs and len(sizes) >= 3, (m, w, sizes)
+                assert max(sizes) <= big + row and min(sizes[:-1]) > big - row, (m, w, sizes)

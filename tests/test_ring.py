@@ -172,6 +172,34 @@ def test_probable_prime_against_sieve_below_1e5():
     assert [n for n in range(10**5) if is_probable_prime(n)] == sieve
 
 
+# psi_k (OEIS A014233) for the k where it grows: the least strong pseudoprime
+# to each of the first k prime bases
+PSI = {1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747, 6: 3474749660383,
+       7: 341550071728321, 9: 3825123056546413051, 12: 318665857834031151167461, 13: PSI_13}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def test_probable_prime_bases_sized_to_n_match_trial_division():
+    # below 2e5 is_probable_prime tests one base up to 2046, two from 2047 on
+    n_max = 2 * 10**5
+    prime = bytearray([1]) * n_max
+    prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n_max) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, n_max, p)))
+    assert [n for n in range(n_max) if is_probable_prime(n)] == [n for n in range(n_max) if prime[n]]
+
+
+def test_probable_prime_refuses_every_psi_k():
+    # psi_k passes Miller-Rabin to the first k bases (psi_7 and psi_9 to the
+    # bases up to the next listed k), so it is refused only if n = psi_k takes
+    # the bases of the next listed k (psi_13 the strong Lucas test)
+    psis = sorted(PSI.items())
+    for (k, psi), (k_next, _) in zip(psis, psis[1:] + [(14, None)]):
+        assert all(_strong_probable_prime(psi, a) for a in FIRST_PRIMES[: k_next - 1]), k
+        assert not is_probable_prime(psi), k
+
+
 def test_strong_lucas_test():
     sieve = set(primes_up_to(10**5))
     # the strong Lucas pseudoprimes below 2e4 (OEIS A217255)
@@ -184,10 +212,14 @@ def test_strong_lucas_test():
 
 
 def _strong_probable_prime_base_2(n):
+    return _strong_probable_prime(n, 2)
+
+
+def _strong_probable_prime(n, a):
     d, r = n - 1, 0
     while d % 2 == 0:
         d, r = d // 2, r + 1
-    x = pow(2, d, n)
+    x = pow(a, d, n)
     if x in (1, n - 1):
         return True
     for _ in range(r - 1):

@@ -223,7 +223,7 @@ def test_colliding_sums_keep_the_layers(d, s, xs, want):
 ])
 def test_multisets_are_charged_as_the_last_layer(monkeypatch, fn, stage, args, pairs):
     # the merge is stubbed so that the admitted folds do not run
-    monkeypatch.setattr(energy, "_merge", lambda rows: Counter())
+    monkeypatch.setattr(energy, "_merge", lambda batches: Counter())
     if pairs is None:
         fn(*args)
     else:
