@@ -5,6 +5,8 @@ Characters are stored through a discrete-log table over the smallest
 primitive root, so multiplicativity can be tested exactly on exponents; the
 complex values only enter when a sum is actually evaluated.  All sums
 accumulate in a fixed index order, so repeated runs give identical floats.
+The table is built in `ring` (`_dlog_table`); `TABLE_BUDGET` and
+`smallest_primitive_root` live there and are re-exported here.
 """
 from __future__ import annotations
 
@@ -18,51 +20,32 @@ from typing import Optional, Sequence
 
 from .bounds import _float_bound
 from .ring import (
+    TABLE_BUDGET,
     DomainError,
     PolyMod,
     RatLike,
     _charge,
-    factorize,
+    _dlog_table,
     inv_mod,
     is_probable_prime,
     poly_table,
     primes_up_to,
+    smallest_primitive_root,
     to_fraction,
 )
 
-TABLE_BUDGET = 10**6  # entries of a discrete-log table
+__all__ = [
+    "TABLE_BUDGET", "SUM_BUDGET", "smallest_primitive_root",
+    "CharTable", "char_eval", "WeilRecord", "weil_admissible", "complete_sum_poly",
+    "BilinearInstance", "BilinearRecord", "bilinear_W", "PrimeBilinearRecord", "prime_bilinear_sum",
+    "BilinearBoundRecord", "bilinear_energy_bound", "RegimeParams", "AdmissibleRecord",
+    "xi_threshold", "admissible_exponents",
+]
+
 # character evaluations of one sum, about 1 s; a complete sum mod p of a
 # degree-d polynomial is charged p * (d + 1): p table entries, each standing
 # for d + 1 steps of its Horner evaluation (the table itself costs less)
 SUM_BUDGET = 10**6
-
-
-def smallest_primitive_root(p: int) -> int:
-    if not is_probable_prime(p):
-        raise DomainError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    qs = [q for q, _ in factorize(p - 1).factors]
-    g = 2
-    while True:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-        g += 1
-
-
-def _dlog_table(p: int) -> tuple[int, list[int]]:
-    """(g, table) with table[g^a mod p] = a for the smallest primitive root g.
-
-    table[0] = -1.  Refuses p above TABLE_BUDGET before allocating.
-    """
-    _charge("a discrete-log table", p, "entries", TABLE_BUDGET, "TABLE_BUDGET")
-    g = smallest_primitive_root(p)
-    table = [-1] * p
-    val = 1
-    for a in range(p - 1):
-        table[val] = a
-        val = val * g % p
-    return g, table
 
 
 @dataclass(frozen=True)

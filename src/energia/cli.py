@@ -4,6 +4,9 @@ Subcommands mirror the library: energy, vinogradov, lattice, eqcount,
 charsum, verify.  Output is JSON on stdout (CSV for the sweep on request);
 exact rationals are rendered as "p/q" strings and complex numbers as
 {"re": .., "im": ..} objects.
+
+Only `ring` is imported with this module: each handler imports its own
+layer, so `energia energy ...` loads `ring` and `energy` and nothing else.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import charsum, eqcount, energy, lattice, ring, sweep, vinogradov
+from . import ring
 
 
 _PLAIN = (int, str, float, type(None))
@@ -52,7 +55,10 @@ def _require(args, *names: str) -> None:
         raise ring.DomainError(f"{args.command} {args.action} needs {' and '.join(missing)}")
 
 
-def _body_from_args(args) -> lattice.Body:
+def _body_from_args(args):
+    """The norm body --box or --cross names, as a `lattice.Body`."""
+    from . import lattice
+
     if getattr(args, "box", None):
         return lattice.WeightedBox(_fractions(args.box))
     if getattr(args, "cross", None):
@@ -69,6 +75,8 @@ def _matrix(text: str) -> list[list[int]]:
 
 
 def _cmd_energy(args) -> int:
+    from . import energy
+
     f = ring.poly_from_string(args.poly, args.modulus)
     iv = ring.Interval(args.H)
     if args.what == "report":
@@ -85,9 +93,12 @@ def _cmd_energy(args) -> int:
 
 
 def _cmd_vinogradov(args) -> int:
+    from . import vinogradov
+
+    budget = vinogradov.DEFAULT_BUDGET if args.budget is None else args.budget
     if args.slope:
         hs = ring.ints_from_string(args.slope)
-        rec = vinogradov.check_J_bound(args.d, H_values=hs, budget=args.budget)
+        rec = vinogradov.check_J_bound(args.d, H_values=hs, budget=budget)
         _emit(rec)
         return 0
     if args.s is None:
@@ -96,14 +107,14 @@ def _cmd_vinogradov(args) -> int:
         if args.H is None:
             raise ring.DomainError("--shifts needs --H")
         shifts = ring.ints_from_string(args.shifts)
-        n = vinogradov.count_I(args.d, args.s, args.H, shifts, budget=args.budget)
+        n = vinogradov.count_I(args.d, args.s, args.H, shifts, budget=budget)
         _emit(vinogradov.SystemCount("I", args.d, args.s, n, H=args.H))
         return 0
     if args.poly:
         if args.modulus is None or args.H is None:
             raise ring.DomainError("--poly needs --modulus and --H")
         f = ring.poly_from_string(args.poly, args.modulus)
-        n = vinogradov.count_Ts(f, ring.Interval(args.H), args.s, budget=args.budget)
+        n = vinogradov.count_Ts(f, ring.Interval(args.H), args.s, budget=budget)
         _emit(vinogradov.SystemCount("Ts", args.d, args.s, n, H=args.H))
         return 0
     if args.set:
@@ -112,12 +123,14 @@ def _cmd_vinogradov(args) -> int:
         elements = tuple(range(1, args.H + 1))
     else:
         raise ring.DomainError("pass --H or --set")
-    n = vinogradov.count_J(args.d, args.s, elements, budget=args.budget)
+    n = vinogradov.count_J(args.d, args.s, elements, budget=budget)
     _emit(vinogradov.SystemCount("J", args.d, args.s, n, set_size=len(set(elements))))
     return 0
 
 
 def _cmd_lattice(args) -> int:
+    from . import lattice
+
     if args.action == "bv":
         _require(args, "matrix")
         _emit(lattice.bv_small_solutions(_matrix(args.matrix)))
@@ -150,6 +163,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_eqcount(args) -> int:
+    from . import eqcount
+
     if args.action in ("eq", "sym"):
         _require(args, "coeffs", "H")
     elif args.action == "constant":
@@ -170,6 +185,8 @@ def _cmd_eqcount(args) -> int:
 
 
 def _cmd_charsum(args) -> int:
+    from . import charsum
+
     if args.action == "region":
         _require(args, "zeta", "xi", "d")
         params = charsum.RegimeParams(args.zeta, args.xi, args.d, args.r or 1)
@@ -202,6 +219,8 @@ def _cmd_charsum(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import sweep
+
     try:
         cfg = sweep.parse_config(pathlib.Path(args.config).read_text("utf-8")) if args.config else sweep.SweepConfig()
         # opened before the sweep, so a bad path is refused before any work
@@ -258,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--poly", help="with --modulus: s-fold energy of the reduced image")
     pv.add_argument("--modulus", type=int)
     pv.add_argument("--slope", help="H list for the critical-exponent ratio record")
-    pv.add_argument("--budget", type=int, default=vinogradov.DEFAULT_BUDGET)
+    pv.add_argument("--budget", type=int, help="hash insertions allowed; default vinogradov.DEFAULT_BUDGET")
     pv.set_defaults(func=_cmd_vinogradov)
 
     pl = sub.add_parser("lattice", help="exact geometry of numbers")

@@ -52,12 +52,13 @@ from itertools import accumulate, compress, repeat
 from operator import add, mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .charsum import TABLE_BUDGET, _dlog_table
 from .ring import (
+    TABLE_BUDGET,
     DomainError,
     Interval,
     PolyMod,
     _charge,
+    _dlog_table,
     is_probable_prime,
     poly_values,
 )
@@ -259,18 +260,18 @@ def _fold_self(h: Mapping[int, int], m: Optional[int] = None, stage: str = "fold
     """S = `_fold(h, h, m)` as (V, D, c), S = c V - D; its n(n+1)/2 pairs are planned and charged.
 
     The sparse backend takes each unordered pair {x, y} of keys once (`_rows`)
-    into V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2} (2x = 2x'
-    can collide mod an even m), S = 2V - D, which has V's support.  The dense
-    backend returns S itself.  Mod m the keys must lie in [0, m), as for `_fold`.
+    into V = {x + y: h[x] h[y]}; with the diagonal D = {2x: h[x]^2}, one
+    `_merge` batch (2x = 2x' can collide mod an even m, and `_merge` adds
+    repeated keys), S = 2V - D, which has V's support.  The dense backend
+    returns S itself.  Mod m the keys must lie in [0, m), as for `_fold`.
     """
     n = len(h)
     if _afford(stage, n * (n + 1) // 2, 1, m):
         return _fold_dense(h, h, m), Counter(), 1
     v = _merge(_rows(h, h, m, True))
-    d: Counter[int] = Counter()
-    for x, c in h.items():
-        d[2 * x if m is None else 2 * x % m] += c * c
-    return v, d, 2
+    cs = h.values()
+    keys = [2 * x for x in h] if m is None else [2 * x % m for x in h]
+    return v, _merge([(keys, None if set(cs) == {1} else map(mul, cs, cs))]), 2
 
 
 def _energy(v: Mapping[int, int], d: Mapping[int, int], c: int) -> int:

@@ -8,6 +8,11 @@ One primitive, `poly_table`, tabulates a polynomial over a run of
 consecutive integers (Horner on a short run, else forward differences summed
 in C); every table of f over an interval goes through it, and `eval_poly`
 and `int_poly_eval` stay for single points.
+
+The discrete-log table mod a prime (`_dlog_table`, over
+`smallest_primitive_root`, at most TABLE_BUDGET entries) lives here too:
+`charsum` builds its characters on it and `energy` folds the logs for a
+multiplicative energy, and neither has to import the other for it.
 """
 from __future__ import annotations
 
@@ -29,6 +34,7 @@ class BudgetExceeded(RuntimeError):
 
 
 FACTOR_BUDGET = 10**5  # trial-division steps, each trying two divisors 6k +- 1
+TABLE_BUDGET = 10**6  # entries of a discrete-log table
 
 
 def _charge(stage: str, units: int, unit: str, budget: int, name: str) -> None:
@@ -280,6 +286,34 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return n < _PSI[-1] or _strong_lucas(n)
+
+
+def smallest_primitive_root(p: int) -> int:
+    if not is_probable_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p == 2:
+        return 1
+    qs = [q for q, _ in factorize(p - 1).factors]
+    g = 2
+    while True:
+        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
+            return g
+        g += 1
+
+
+def _dlog_table(p: int) -> tuple[int, list[int]]:
+    """(g, table) with table[g^a mod p] = a for the smallest primitive root g.
+
+    table[0] = -1.  Refuses p above TABLE_BUDGET before allocating.
+    """
+    _charge("a discrete-log table", p, "entries", TABLE_BUDGET, "TABLE_BUDGET")
+    g = smallest_primitive_root(p)
+    table = [-1] * p
+    val = 1
+    for a in range(p - 1):
+        table[val] = a
+        val = val * g % p
+    return g, table
 
 
 def poly_from_string(text: str, modulus: int) -> PolyMod:

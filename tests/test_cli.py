@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from energia import charsum, cli, energy, lattice, ring, vinogradov
+from energia import charsum, cli, energy, lattice, ring, sweep, vinogradov
 from energia.sweep import CSV_COLUMNS
 
 
@@ -287,7 +287,7 @@ def test_verify_refuses_an_unusable_file_before_the_sweep(tmp_path, capsys, monk
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran")
 
-    monkeypatch.setattr(cli.sweep, "run_sweep", no_sweep)
+    monkeypatch.setattr(sweep, "run_sweep", no_sweep)
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("d = 2\nm = 7\nh = 2\nseeds = 0\nmaster = café\n".encode("latin-1"))
     for argv in (
@@ -297,6 +297,13 @@ def test_verify_refuses_an_unusable_file_before_the_sweep(tmp_path, capsys, monk
     ):
         rc, out, err = _run(capsys, argv)
         assert (rc, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_vinogradov_budget_flag(capsys):
+    payload, _ = _run_json(capsys, ["vinogradov", "--d", "2", "--s", "2", "--H", "3"])
+    assert payload["count"] == vinogradov.count_J(2, 2, range(1, 4))
+    rc, out, err = _run(capsys, ["vinogradov", "--d", "2", "--s", "2", "--H", "3", "--budget", "0"])
+    assert (rc, out) == (2, "") and err.startswith("error: ")
 
 
 def test_domain_error_exit_code(capsys):

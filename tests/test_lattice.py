@@ -1024,7 +1024,7 @@ def test_fresh_import_releases_old_classes():
         for k in [k for k in sys.modules if k == "energia" or k.startswith("energia.")]:
             del sys.modules[k]
         importlib.import_module("energia.cli")
-        return sys.modules["energia.lattice"]
+        return importlib.import_module("energia.lattice")
 
     try:
         first = weakref.ref(fresh().WeightedBox)

@@ -97,3 +97,34 @@ def test_the_parameter_check_sees_what_it_should():
         "f: b (line 1)", "f: d (line 1)", "f: args (line 1)", "f: kw (line 1)",
         "g: e (line 2)", "<lambda>: y (line 5)", "m: z (line 7)"]
     assert _unread_parameters("def f(a, *, b):\n    return lambda c: a + b + c\n") == []
+
+
+# each layer imports, at module level, only from the layers before it
+LAYERS = ({"ring"}, {"bounds"}, {"energy", "lattice", "charsum"}, {"vinogradov", "eqcount", "sweep"}, {"cli"})
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+
+
+def _imports_out_of_order(name: str, source: str) -> list[str]:
+    """The module-level `from .x import` (and `from . import x`) lines of the
+    module name whose x does not come before it in LAYERS."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            targets = [node.module] if node.module else [alias.name for alias in node.names]
+            found += [f"{name} imports {t} (line {node.lineno})" for t in targets if RANK[t] >= RANK[name]]
+    return found
+
+
+def test_every_layer_is_ranked():
+    assert set(RANK) == {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem in RANK), ids=lambda p: p.name)
+def test_module_level_imports_follow_the_layers(path):
+    assert _imports_out_of_order(path.stem, path.read_text(encoding="utf-8")) == []
+
+
+def test_the_layer_check_sees_what_it_should():
+    src = "from .charsum import x\nfrom . import ring, cli\nfrom .energy import y\ndef f():\n    from . import sweep\n"
+    assert _imports_out_of_order("energy", src) == ["energy imports charsum (line 1)", "energy imports cli (line 2)", "energy imports energy (line 3)"]
+    assert _imports_out_of_order("cli", src) == ["cli imports cli (line 2)"]
