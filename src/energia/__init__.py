@@ -6,81 +6,16 @@ Importing the package loads none of its layers.  A public name, or a layer
 ``__getattr__`` (PEP 562) and then bound here, so a caller pays only for
 the layers it uses: ``energia.count_J`` loads ``vinogradov`` and what it
 imports, and never ``lattice`` or ``charsum``.
+
+``_HOMES`` (layer -> the public names it defines) is the one list of public
+names: ``__all__``, ``__getattr__`` and ``__dir__`` are all read off it.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibleRecord",
-    "BilinearInstance",
-    "BoundParams",
-    "BudgetExceeded",
-    "CharTable",
-    "DomainError",
-    "DualBody",
-    "EnergyReport",
-    "EqCountResult",
-    "IntLattice",
-    "Interval",
-    "MinimaProfile",
-    "PipelineCertificate",
-    "PolyMod",
-    "PowerSumVector",
-    "RegimeParams",
-    "RepFunction",
-    "SweepConfig",
-    "SystemCount",
-    "UnsupportedSize",
-    "WeightedBox",
-    "admissible_exponents",
-    "alpha_beta",
-    "bilinear_W",
-    "bilinear_energy_bound",
-    "brute_congruence",
-    "bv_small_solutions",
-    "char_eval",
-    "check_J_bound",
-    "complete_sum_poly",
-    "congruence_lattice",
-    "count_I",
-    "count_J",
-    "count_Ts",
-    "count_congruence",
-    "count_eq",
-    "count_lattice_points",
-    "count_symmetric_eq",
-    "dual_lattice",
-    "energy_T",
-    "energy_cross",
-    "energy_plus",
-    "energy_report",
-    "energy_times",
-    "fourth_moment_bound",
-    "fourth_moment_crossover",
-    "fractional_measure",
-    "hybrid_count_bound",
-    "in_regime",
-    "interval_energy_bound",
-    "mahler_basis",
-    "minkowski_check",
-    "parse_config",
-    "point_count_record",
-    "prime_bilinear_sum",
-    "regime_constant",
-    "rep_function",
-    "run_cell",
-    "run_sweep",
-    "set_energy_plus",
-    "set_energy_times",
-    "successive_minima",
-    "sumset_size",
-    "transference_check",
-    "xi_threshold",
-]
-
-# the layer that defines each public name
+# the layer that defines each public name; the only list of them
 _HOMES = {
     "bounds": ("BoundParams", "alpha_beta", "fourth_moment_bound", "fourth_moment_crossover",
         "hybrid_count_bound", "interval_energy_bound"),
@@ -102,6 +37,7 @@ _HOMES = {
     "vinogradov": ("PowerSumVector", "SystemCount", "check_J_bound", "count_I", "count_J",
         "count_Ts"),
 }
+__all__ = sorted(name for names in _HOMES.values() for name in names)
 _LAYER = {name: layer for layer, names in _HOMES.items() for name in (layer, *names)}
 
 

@@ -96,28 +96,28 @@ def _cmd_vinogradov(args) -> int:
     from . import vinogradov
 
     budget = vinogradov.DEFAULT_BUDGET if args.budget is None else args.budget
-    if args.slope:
+    if args.slope is not None:
         hs = ring.ints_from_string(args.slope)
         rec = vinogradov.check_J_bound(args.d, H_values=hs, budget=budget)
         _emit(rec)
         return 0
     if args.s is None:
         raise ring.DomainError("--s is required unless --slope is used")
-    if args.shifts:
+    if args.shifts is not None:
         if args.H is None:
             raise ring.DomainError("--shifts needs --H")
         shifts = ring.ints_from_string(args.shifts)
         n = vinogradov.count_I(args.d, args.s, args.H, shifts, budget=budget)
         _emit(vinogradov.SystemCount("I", args.d, args.s, n, H=args.H))
         return 0
-    if args.poly:
+    if args.poly is not None:
         if args.modulus is None or args.H is None:
             raise ring.DomainError("--poly needs --modulus and --H")
         f = ring.poly_from_string(args.poly, args.modulus)
         n = vinogradov.count_Ts(f, ring.Interval(args.H), args.s, budget=budget)
         _emit(vinogradov.SystemCount("Ts", args.d, args.s, n, H=args.H))
         return 0
-    if args.set:
+    if args.set is not None:
         elements = ring.ints_from_string(args.set)
     elif args.H is not None:
         elements = tuple(range(1, args.H + 1))
@@ -189,7 +189,7 @@ def _cmd_charsum(args) -> int:
 
     if args.action == "region":
         _require(args, "zeta", "xi", "d")
-        params = charsum.RegimeParams(args.zeta, args.xi, args.d, args.r or 1)
+        params = charsum.RegimeParams(args.zeta, args.xi, args.d, 1 if args.r is None else args.r)
         _emit(charsum.admissible_exponents(params))
         return 0
     if args.action == "bound":
@@ -202,9 +202,9 @@ def _cmd_charsum(args) -> int:
     if args.action == "weil":
         _emit(charsum.complete_sum_poly(table, ring.poly_from_string(args.coeffs, args.p)))
     elif args.action == "bilinear":
-        if args.set:
+        if args.set is not None:
             residues = ring.ints_from_string(args.set)
-        elif args.S:
+        elif args.S is not None:
             # uniform prices the range before building it; len() of a range
             # stops at sys.maxsize, so a larger S is cut there, still refused
             residues = range(1, min(args.S, sys.maxsize - 1) + 1)

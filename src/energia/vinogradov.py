@@ -6,11 +6,12 @@ sum x_i^j = sum y_i^j for every j = 1..d.  Each power-sum vector
 packing is linear and injective on every vector compared.  J is the sum of
 the squared fibres of the histogram of s-tuple vectors: each multiset of s
 elements once with its orderings or, where that costs more (the sums of
-d = 1 collide), s layers of ordered tuples (`_fold`); count_Ts folds the
-value histogram mod m in layers, a one-key one c^(2s) in closed form.  The
-n^s tuples are charged against `budget` up front, and each fold against
-FOLD_BUDGET under the caller's stage name before it runs (the multisets as
-the ordered last layer).  The naive 2s-fold loop lives in the test suite.
+d = 1 collide), ordered tuples: the histogram of the elements folded with
+itself s - 1 times (`_fold`).  count_Ts folds the value histogram mod m the
+same way, a one-key one c^(2s) in closed form.  The n^s tuples are charged
+against `budget` up front, and each fold against FOLD_BUDGET under the
+caller's stage name before it runs (the multisets as the ordered last
+layer).  The naive 2s-fold loop lives in the test suite.
 """
 from __future__ import annotations
 
@@ -125,8 +126,8 @@ def _power_sum_histogram(d: int, s: int, elements: Sequence[int], stage: str = "
     if _by_multisets(n := len(singles), s, [max(c) - min(c) for c in zip(*powers)]):
         _afford(stage, n, math.comb(n + s - 2, s - 1))  # the ordered fold's last layer: same refusals
         return _fold_rows(_multiset_rows(s, singles), math.comb(n + s - 1, s), stage), radix
-    hist, single = Counter({0: 1}), Counter(singles)
-    for _ in range(s):  # ordered tuples, so no symmetry factor
+    hist = single = Counter(singles)
+    for _ in range(s - 1):  # ordered tuples, so no symmetry factor
         hist = _fold(hist, single, stage=stage)
     return hist, radix
 
@@ -183,8 +184,8 @@ def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGE
     hist = Counter(poly_values(f, interval))
     if len(hist) == 1:  # s folds of one key c times leave one key c^s times
         return next(iter(hist.values())) ** (2 * s)
-    layer: Counter[int] = Counter({0: 1})
-    for _ in range(s):
+    layer = hist
+    for _ in range(s - 1):
         layer = _fold(layer, hist, f.modulus, "count_Ts")
     return _squares(layer)
 

@@ -8,8 +8,9 @@ purpose; every frozen constant in the test suite was produced by one of
 these functions.
 
 The last section keeps the package's earlier lattice routines as references
-for the faster ones that replaced them: LLL that recomputes Gram-Schmidt
-after every row operation, the Fincke-Pohst search over Fraction
+for the faster ones that replaced them: LLL that recomputes Fraction
+Gram-Schmidt data instead of updating it (row i of mu after a size
+reduction, all of it after a swap), the Fincke-Pohst search over Fraction
 Gram-Schmidt data with a Fraction body norm at every leaf, the shortest
 vector taken over every lattice point out to radius 1, and the Mahler basis
 built from a fresh saturation and a cofactor completion at every step.  The
@@ -361,41 +362,60 @@ def frac_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 # --- earlier lattice routines, kept as references --------------------------
 
 
-def gram_schmidt_plain(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
-    """mu and squared Gram-Schmidt lengths of the rows under the diagonal form qw."""
+def _gram_schmidt(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
+    """mu, squared lengths and qw-weighted Gram-Schmidt vectors of the rows
+    under the diagonal form qw."""
     k = len(rows)
     bstar: list[list[Fraction]] = []
+    wstar: list[list[Fraction]] = []
     bn: list[Fraction] = []
     mu = [[Fraction(0)] * k for _ in range(k)]
     for i in range(k):
+        mu[i][:i] = _mu_row(rows[i], wstar, bn)
         vec = [Fraction(x) for x in rows[i]]
         for j in range(i):
-            mu[i][j] = sum(w * x * y for w, x, y in zip(qw, rows[i], bstar[j])) / bn[j]
             vec = [a - mu[i][j] * b for a, b in zip(vec, bstar[j])]
         bstar.append(vec)
-        bn.append(sum(w * x * x for w, x in zip(qw, vec)))
-    return mu, bn
+        wstar.append([w * x for w, x in zip(qw, vec)])
+        bn.append(sum(x * y for x, y in zip(vec, wstar[i])))
+    return mu, bn, wstar
+
+
+def _mu_row(row: Sequence[int], wstar, bn) -> list[Fraction]:
+    """The coefficients of row against the Gram-Schmidt vectors whose
+    qw-weighted forms are wstar and squared lengths bn."""
+    return [sum(x * y for x, y in zip(row, vec)) / n for vec, n in zip(wstar, bn)]
+
+
+def gram_schmidt_plain(rows: Sequence[Sequence[int]], qw: Sequence[Fraction]):
+    """mu and squared Gram-Schmidt lengths of the rows under the diagonal form qw."""
+    return _gram_schmidt(rows, qw)[:2]
 
 
 def lll_recompute(
     rows: Sequence[Sequence[int]], qw: Sequence[Fraction], delta: Fraction = Fraction(3, 4)
 ) -> list[list[int]]:
-    """Exact LLL that recomputes Gram-Schmidt from scratch after every row operation."""
+    """Exact LLL over Fraction Gram-Schmidt data, recomputed rather than updated.
+
+    Size-reducing row i changes no Gram-Schmidt vector and no other row of
+    mu, so only row i of mu is recomputed, by dot products against the
+    unchanged vectors; a swap rebuilds the whole Gram-Schmidt from scratch.
+    """
     b = [list(map(int, r)) for r in rows]
     k = len(b)
     if k <= 1:
         return b
-    mu, bn = gram_schmidt_plain(b, qw)
+    mu, bn, wstar = _gram_schmidt(b, qw)
     i = 1
     while i < k:
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
                 b[i] = [x - q * y for x, y in zip(b[i], b[j])]
-                mu, bn = gram_schmidt_plain(b, qw)
+                mu[i][:i] = _mu_row(b[i], wstar[:i], bn)
         if bn[i] < (delta - mu[i][i - 1] ** 2) * bn[i - 1]:
             b[i - 1], b[i] = b[i], b[i - 1]
-            mu, bn = gram_schmidt_plain(b, qw)
+            mu, bn, wstar = _gram_schmidt(b, qw)
             i = max(i - 1, 1)
         else:
             i += 1

@@ -336,6 +336,9 @@ def test_domain_error_exit_code(capsys):
     # a query whose length is not the lattice dimension
     ["lattice", "mahler", "--basis", "1,0;0,1", "--box", "1,1", "--query", "1,2,3"],
     ["lattice", "mahler", "--basis", "1,0;0,1", "--box", "1,1", "--query", "1"],
+    # a zero or empty value is read, not taken for a missing flag
+    ["charsum", "region", "--zeta", "1/3", "--xi", "1/3", "--d", "2", "--r", "0"],
+    ["vinogradov", "--d", "2", "--s", "2", "--H", "3", "--shifts", ""],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)

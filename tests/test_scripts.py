@@ -13,6 +13,7 @@ SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
     pytest.param(["pipeline_demo.py"], "agree", id="pipeline_demo"),
     pytest.param(["energy_growth.py"], "fitted slope", id="energy_growth"),
     pytest.param(["run_default_sweep.py", "--workers", "1"], "cells: 312   hard failures: 0", id="run_default_sweep"),
+    pytest.param(["src_lines.py"], " docstring + ", id="src_lines"),
 ])
 def test_script_runs_and_exits_0(argv, expect, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", argv)

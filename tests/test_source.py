@@ -9,7 +9,9 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "energia"
 
 def _unused_imports(source: str) -> list[str]:
     """The names bound by the module-level imports of source that nothing in
-    it reads and that its __all__ does not re-export; __future__ is skipped."""
+    it reads and that its __all__ does not re-export; __future__ is skipped.
+    Only a list or tuple literal __all__ re-exports: a computed one re-exports
+    nothing, so every import of such a module must be read."""
     tree = ast.parse(source)
     bound: dict[str, int] = {}
     exported: set[str] = set()
@@ -21,7 +23,7 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 bound[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
+            exported = set(ast.literal_eval(node.value)) if isinstance(node.value, (ast.List, ast.Tuple)) else set()
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in bound.items() if name not in read | exported]
 
@@ -35,6 +37,7 @@ def test_the_import_check_sees_what_it_should():
     src = "from __future__ import annotations\nimport os, os.path as osp\nfrom typing import Union\nfrom . import a, b\n"
     assert _unused_imports(src + "__all__ = ['a']\nprint(b)\n") == ["os (line 2)", "osp (line 2)", "Union (line 3)"]
     assert _unused_imports(src + "x: Union[int, str] = osp.sep + os.sep\n__all__ = ['a', 'b']\n") == []
+    assert _unused_imports(src + "x: Union[int, str] = osp.sep + os.sep\n__all__ = sorted(['a', 'b'])\nprint(a)\n") == ["b (line 4)"]
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
