@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .ring import DomainError
+from .ring import DomainError, _whole
 
 
 def _float_bound(fn):
@@ -43,10 +43,9 @@ class BoundParams:
             raise DomainError("alpha must not exceed beta")
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=16, typed=True)  # typed: a cached 2 never answers for 2.0 or True
 def alpha_beta(d: int) -> BoundParams:
-    if d < 2:
-        raise DomainError(f"degree must be >= 2, got {d}")
+    _whole("degree", d, 2)
     return BoundParams(d, Fraction(2, d * d + d - 2), Fraction(2, d + 2))
 
 
@@ -74,16 +73,15 @@ def fourth_moment_bound(d: int, m: int, H: int) -> float:
     """H^4 / m^(4/(d(d+1))) + H^2: the mean-value bound for the full energy T."""
     if m < 2 or H < 1 or H > m:
         raise DomainError("need 1 <= H <= m and m >= 2")
+    _whole("degree", d, 2)
     return H**4 / m ** (4 / (d * (d + 1))) + H**2
 
 
 @_float_bound
 def fourth_moment_crossover(d: int, m: int) -> float:
     """H where the two terms of the fourth-moment bound balance: m^(2/(d(d+1)))."""
-    if m < 2:
-        raise DomainError("modulus must be >= 2")
-    if d < 2:
-        raise DomainError(f"degree must be >= 2, got {d}")
+    _whole("modulus", m, 2)
+    _whole("degree", d, 2)
     return m ** (2 / (d * (d + 1)))
 
 
@@ -92,6 +90,7 @@ def hybrid_count_bound(d: int, m: int, H: int, Z: int) -> float:
     """H^2 Z^2 / m^(2/(d(d+1))) + Z (H + Z): solutions weighted by a set of size Z."""
     if m < 2 or H < 1 or Z < 1:
         raise DomainError("need positive H, Z and m >= 2")
+    _whole("degree", d, 2)
     return H**2 * Z**2 / m ** (2 / (d * (d + 1))) + Z * (H + Z)
 
 

@@ -26,6 +26,7 @@ from .ring import (
     RatLike,
     _charge,
     _dlog_table,
+    _whole,
     inv_mod,
     is_probable_prime,
     poly_table,
@@ -180,7 +181,8 @@ class BilinearInstance:
             raise DomainError("residues must be distinct")
         if len(self.alpha) != len(self.residues):
             raise DomainError("one alpha weight per residue")
-        if self.H < 1 or len(self.beta) != self.H:
+        _whole("H", self.H, 1)
+        if len(self.beta) != self.H:
             raise DomainError("beta must carry exactly H weights")
         for name, arr in (("alpha", self.alpha), ("beta", self.beta)):
             if any(abs(c) > 1 + 1e-9 for c in arr):
@@ -192,8 +194,7 @@ class BilinearInstance:
         any weight is built, so residues may be a range."""
         if not residues:
             raise DomainError("residue set must be nonempty")
-        if H < 1:
-            raise DomainError(f"H must be >= 1, got {H}")
+        _whole("H", H, 1)
         _charge("a bilinear sum", len(residues) * H, "character evaluations", SUM_BUDGET, "SUM_BUDGET")
         rs = tuple(residues)
         return cls(rs, (1,) * len(rs), H, (1,) * H)
@@ -355,8 +356,7 @@ class RegimeParams:
                 raise DomainError("delta must be positive when given")
         if self.zeta <= 0 or self.xi <= 0:
             raise DomainError("zeta and xi must be positive")
-        if self.d < 2:
-            raise DomainError(f"degree must be >= 2, got {self.d}")
+        _whole("degree", self.d, 2)
         if self.r < 1:
             raise DomainError("r must be a positive integer")
 
@@ -370,8 +370,7 @@ class AdmissibleRecord:
 
 def xi_threshold(d: int, zeta: RatLike) -> Fraction:
     """Smallest xi (exclusive) compatible with the strict constraints."""
-    if d < 2:
-        raise DomainError(f"degree must be >= 2, got {d}")
+    _whole("degree", d, 2)
     z = to_fraction(zeta)
     return max(
         Fraction(1, 2) - z,

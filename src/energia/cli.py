@@ -11,6 +11,7 @@ layer, so `energia energy ...` loads `ring` and `energy` and nothing else.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import pathlib
@@ -59,9 +60,9 @@ def _body_from_args(args):
     """The norm body --box or --cross names, as a `lattice.Body`."""
     from . import lattice
 
-    if getattr(args, "box", None):
+    if getattr(args, "box", None) is not None:
         return lattice.WeightedBox(_fractions(args.box))
-    if getattr(args, "cross", None):
+    if getattr(args, "cross", None) is not None:
         return lattice.DualBody(_fractions(args.cross))
     raise ring.DomainError("pass --box or --cross to choose the norm body")
 
@@ -222,24 +223,21 @@ def _cmd_verify(args) -> int:
     from . import sweep
 
     try:
-        cfg = sweep.parse_config(pathlib.Path(args.config).read_text("utf-8")) if args.config else sweep.SweepConfig()
+        cfg = sweep.SweepConfig() if args.config is None else sweep.parse_config(pathlib.Path(args.config).read_text("utf-8"))
         # opened before the sweep, so a bad path is refused before any work
-        out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+        out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ring.DomainError(f"cannot use a verify file: {exc}") from exc
     if args.seed is not None:
         # one knob feeds every cell RNG
         cfg = dataclasses.replace(cfg, master=str(args.seed))
-    try:
+    with out as stream:
         report = sweep.run_sweep(cfg, workers=args.workers)
         if args.emit == "csv":
-            sweep.write_csv(report, out)
+            sweep.write_csv(report, stream)
         else:
-            json.dump(json_ready(report), out, indent=2)
-            out.write("\n")
-    finally:
-        if args.out:
-            out.close()
+            json.dump(json_ready(report), stream, indent=2)
+            stream.write("\n")
     summary = {
         "cells": len(report.cells),
         "hard_failures": report.hard_failures,

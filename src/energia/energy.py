@@ -59,6 +59,7 @@ from .ring import (
     PolyMod,
     _charge,
     _dlog_table,
+    _whole,
     is_probable_prime,
     poly_values,
 )
@@ -135,11 +136,6 @@ def _values(stage: str, f: PolyMod, interval: Interval) -> list[int]:
     """[f(1), ..., f(H)] mod m, once the worst fold they can feed, H by H values, is affordable."""
     _afford(stage, interval.H, interval.H, f.modulus)
     return poly_values(f, interval)
-
-
-def _check_modulus(modulus: int) -> None:
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
 
 
 # memoryview formats of native unsigned slots; widths between them are
@@ -286,7 +282,7 @@ def _squares(counts: Mapping[int, int]) -> int:
 
 def set_energy_plus(points: Iterable[int], modulus: int) -> int:
     """Additive energy of a set of residues: quadruples with a + b = c + d mod m."""
-    _check_modulus(modulus)
+    _whole("modulus", modulus, 2)
     pts = Counter({p % modulus for p in points})
     return _energy(*_fold_self(pts, modulus, "set_energy_plus"))
 
@@ -297,7 +293,7 @@ def set_energy_times(points: Iterable[int], modulus: int) -> int:
     For a prime modulus and enough points, folds the discrete logs instead
     of looping over products (see the module docstring).
     """
-    _check_modulus(modulus)
+    _whole("modulus", modulus, 2)
     pts = sorted({p % modulus for p in points})
     if (
         _dense(len(pts) ** 2, modulus)
@@ -349,7 +345,7 @@ def additive_stats(values: Sequence[int], modulus: int) -> tuple[int, int, int]:
     E+ + 2 sum_k C[k] S[k] + sum_k C[k]^2, S = c V - D read at the keys of C.
     C costs |X| |A| pairs, and none at all when no two values collide.
     """
-    _check_modulus(modulus)
+    _whole("modulus", modulus, 2)
     hist = Counter(x % modulus for x in values)
     v, d, c = _fold_self(dict.fromkeys(hist, 1), modulus, "additive_stats")
     ep = _energy(v, d, c)
@@ -376,7 +372,7 @@ def energy_times(f: PolyMod, interval: Interval) -> int:
 
 def energy_cross(a_points: Iterable[int], b_points: Iterable[int], modulus: int) -> int:
     """E(A, B) = #{(a, a', b, b') in A^2 x B^2 : a + b = a' + b' mod m}."""
-    _check_modulus(modulus)
+    _whole("modulus", modulus, 2)
     aa = Counter({p % modulus for p in a_points})
     bb = Counter({p % modulus for p in b_points})
     return _squares(_fold(aa, bb, modulus, "energy_cross"))

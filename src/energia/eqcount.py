@@ -26,6 +26,7 @@ from .ring import (
     DomainError,
     PolyMod,
     _charge,
+    _whole,
     centered,
     int_poly_eval,
     inv_mod,
@@ -107,8 +108,7 @@ def _clean_coeffs(coeffs: Sequence[int], H: int) -> tuple[int, ...]:
         cs.pop()
     if len(cs) < 2:
         raise DomainError("need a nonconstant polynomial")
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
+    _whole("H", H, 1)
     return tuple(cs)
 
 
@@ -206,7 +206,7 @@ def count_symmetric_eq(coeffs: Sequence[int], H: int) -> SymmetricCount:
     return SymmetricCount(total, r0, total - r0 * r0)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)  # typed: a cached 2 never answers for 2.0 or True
 def regime_constant(d: int, max_den: int = 10**6) -> Fraction:
     """Largest rational p/q (q <= max_den) whose box is Minkowski-guaranteed.
 
@@ -217,8 +217,7 @@ def regime_constant(d: int, max_den: int = 10**6) -> Fraction:
     integer test p^(d+1) (100 d)^2 <= q^(d+1), priced in operand bits
     against _POWER_BUDGET before the walk starts.
     """
-    if d < 2:
-        raise DomainError(f"degree must be >= 2, got {d}")
+    _whole("degree", d, 2)
     if max_den < 1:
         raise DomainError("denominator cap must be positive")
     b = max_den.bit_length()
@@ -361,8 +360,7 @@ def brute_congruence(f: PolyMod, shift: int, H: int, budget: int = BRUTE_BUDGET)
     which the join counts before it builds them in (x, y) order.
     """
     m = f.modulus
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
+    _whole("H", H, 1)
     if H > m:
         raise DomainError("interval longer than the modulus")
     _charge("brute_congruence", H, "steps", budget, "budget")

@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .ring import DomainError, RatLike, _charge, ints_from_string, to_fraction
+from .ring import DomainError, RatLike, _charge, _whole, ints_from_string, to_fraction
 
 MAX_ENUM_DIM = 8
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -378,8 +378,7 @@ def congruence_lattice(coeffs: Sequence[int], modulus: int) -> IntLattice:
     pipeline builds that one in closed form, scales its columns so that its
     box becomes the cube, and hands it to _svp, which reduces it.
     """
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
+    _whole("modulus", modulus, 2)
     a = [int(x) % modulus for x in coeffs]
     d = len(a)
     if d < 1:
@@ -834,8 +833,6 @@ def mahler_basis(
     The expansion certificate reports, for each queried vector b in L,
     integer coefficients b = sum c_j w_j and the value max_j |c_j| lambda_j.
     """
-    if lat.dim > MAX_ENUM_DIM:
-        raise UnsupportedSize(f"dimension {lat.dim} exceeds the enumeration bound {MAX_ENUM_DIM}")
     if not lat.is_full_rank:
         raise DomainError("basis construction needs a full-rank lattice")
     prof = successive_minima(lat, body, budget)

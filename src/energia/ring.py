@@ -13,6 +13,11 @@ The discrete-log table mod a prime (`_dlog_table`, over
 `smallest_primitive_root`, at most TABLE_BUDGET entries) lives here too:
 `charsum` builds its characters on it and `energy` folds the logs for a
 multiplicative energy, and neither has to import the other for it.
+
+One rule covers every integer input of every layer -- a degree d >= 2 (d and
+s >= 1 in the power-sum counts), a modulus m >= 2, an interval length H >= 1:
+`_whole` refuses, as DomainError, a value that is not an int (a bool
+included) or that lies below its floor.
 """
 from __future__ import annotations
 
@@ -50,6 +55,14 @@ def _charge(stage: str, units: int, unit: str, budget: int, name: str) -> None:
         raise BudgetExceeded(f"{stage}: {u} {unit} exceed the budget ({name} = {b})")
 
 
+def _whole(name: str, value: object, low: int) -> None:
+    """DomainError unless value is an int, not a bool, and at least low."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class PolyMod:
     """A polynomial over Z/m of degree >= 1.
@@ -65,8 +78,7 @@ class PolyMod:
 
     def __post_init__(self) -> None:
         m = self.modulus
-        if not isinstance(m, int) or m < 2:
-            raise DomainError(f"modulus must be an integer >= 2, got {m!r}")
+        _whole("modulus", m, 2)
         cs = tuple(int(c) % m for c in self.coeffs)
         if len(cs) < 2:
             raise DomainError("degree must be >= 1 (need at least two coefficients)")
@@ -92,8 +104,7 @@ class Interval:
     H: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.H, int) or self.H < 1:
-            raise DomainError(f"interval length must be an integer >= 1, got {self.H!r}")
+        _whole("interval length", self.H, 1)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(1, self.H + 1))
@@ -346,14 +357,6 @@ def to_fraction(x: RatLike) -> Fraction:
         raise DomainError(f"bad rational {x!r}") from exc
 
 
-def check_interval_fits(f: PolyMod, interval: Interval) -> None:
-    if interval.H > f.modulus:
-        raise DomainError(
-            f"interval length {interval.H} exceeds modulus {f.modulus}; "
-            "the domain must inject into Z/m"
-        )
-
-
 def poly_table(coeffs: Sequence[int], start: int, n: int, m: Optional[int] = None) -> list[int]:
     """[f(start), ..., f(start + n - 1)] for integer f (ascending coefficients),
     each reduced into [0, m) unless m is None.
@@ -391,8 +394,9 @@ def poly_table(coeffs: Sequence[int], start: int, n: int, m: Optional[int] = Non
 
 
 def poly_values(f: PolyMod, interval: Interval) -> list[int]:
-    """[f(1), ..., f(H)] reduced mod m, with the H <= m domain check."""
-    check_interval_fits(f, interval)
+    """[f(1), ..., f(H)] reduced mod m, refused unless H <= m, so the domain injects into Z/m."""
+    if interval.H > f.modulus:
+        raise DomainError(f"interval length {interval.H} exceeds modulus {f.modulus}; the domain must inject into Z/m")
     return poly_table(f.coeffs, 1, interval.H, f.modulus)
 
 

@@ -23,7 +23,7 @@ from typing import Optional, TextIO
 
 from .bounds import _slope, fourth_moment_bound, fourth_moment_crossover, interval_energy_bound
 from .energy import _values, additive_stats
-from .ring import BudgetExceeded, DomainError, Interval, PolyMod, is_probable_prime
+from .ring import BudgetExceeded, DomainError, Interval, PolyMod, _whole, is_probable_prime
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -145,6 +145,8 @@ def run_cell(
 
     Passing f pins the polynomial instead of drawing it from the cell seed.
     """
+    _whole("degree", d, 2)
+    _whole("modulus", m, 2)
     if f is None:
         rng = random.Random(f"{master}:{d}:{m}:{H}:{seed}")
         f = _random_poly(d, m, rng)

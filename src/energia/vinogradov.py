@@ -25,7 +25,7 @@ from typing import Iterator, Optional, Sequence
 
 from .bounds import _slope
 from .energy import _afford, _fold, _fold_rows, _squares
-from .ring import DomainError, Interval, PolyMod, _charge, int_poly_eval, poly_values
+from .ring import DomainError, Interval, PolyMod, _charge, _whole, int_poly_eval, poly_values
 
 DEFAULT_BUDGET = 10**8  # hash insertions, size^s for s folds over size keys
 # bits of the H + 1 vectors count_I packs, each d * radix.bit_length(); under
@@ -72,21 +72,15 @@ class SystemCount:
             raise DomainError("count below the diagonal floor")
 
 
-def _check_ds(d: int, s: int) -> None:
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise DomainError(f"d must be an integer >= 1, got {d!r}")
-    if not isinstance(s, int) or isinstance(s, bool) or s < 1:
-        raise DomainError(f"s must be an integer >= 1, got {s!r}")
-
-
 def _tuples(size: int, s: int, budget: int) -> int:
     """size^s hash insertions, s capped at max(64, budget bits): over the budget iff size^s is."""
     return size ** min(s, max(64, budget.bit_length()))
 
 
 def _by_multisets(n: int, s: int, spans: Sequence[int]) -> bool:
-    """The plan: whether the C(n + s - 1, s) multisets of s of n keys cost no more than the layers,
-    layer k holding min(C(n + k - 1, k), prod_j (k span_j + 1)) keys at most, n pair steps each."""
+    """The plan: whether the C(n + s - 1, s) multisets of s of n keys cost no more than the ordered
+    path's layers, layer k holding min(C(n + k - 1, k), prod_j (k span_j + 1)) keys at most, n steps
+    each: layer 0 is Counter(singles), its n steps, and layers 1..s - 1 are its s - 1 folds."""
     multisets = math.comb(n + s - 1, s)
     layers = (n * min(math.comb(n + k - 1, k), math.prod(k * w + 1 for w in spans)) for k in range(s))
     return any(steps >= multisets for steps in accumulate(layers))
@@ -138,12 +132,13 @@ def count_J(d: int, s: int, elements: Sequence[int], budget: int = DEFAULT_BUDGE
     Only the first min(d, s) equations are folded: by Newton-Girard the power
     sums 1..s of an s-tuple fix its multiset, so they imply every higher one.
     """
-    _check_ds(d, s)
+    _whole("d", d, 1)
+    _whole("s", s, 1)
     xs = sorted(set(int(x) for x in elements))
     if not xs:
         raise DomainError("X must be nonempty")
     _charge("count_J", _tuples(len(xs), s, budget), "hash insertions", budget, "budget")
-    return _squares(_power_sum_histogram(min(d, s), s, xs)[0])
+    return len(xs) if s == 1 else _squares(_power_sum_histogram(min(d, s), s, xs)[0])  # s = 1 forces x_1 = y_1
 
 
 def count_I(
@@ -157,9 +152,9 @@ def count_I(
 
     shifts = (0,...,0) reproduces count_J on {1..H} exactly.
     """
-    _check_ds(d, s)
-    if H < 1:
-        raise DomainError(f"H must be >= 1, got {H}")
+    _whole("d", d, 1)
+    _whole("s", s, 1)
+    _whole("H", H, 1)
     lam = tuple(int(v) for v in shifts)
     if len(lam) != d:
         raise DomainError(f"need {d} shift components, got {len(lam)}")
@@ -179,7 +174,7 @@ def count_I(
 
 def count_Ts(f: PolyMod, interval: Interval, s: int, budget: int = DEFAULT_BUDGET) -> int:
     """T_s = #{2s-tuples in I^{2s} : sum f(x_i) = sum f(y_i) mod m}; s=2 is energy_T."""
-    _check_ds(1, s)
+    _whole("s", s, 1)
     _charge("count_Ts", _tuples(interval.H, s, budget), "hash insertions", budget, "budget")
     hist = Counter(poly_values(f, interval))
     if len(hist) == 1:  # s folds of one key c times leave one key c^s times
@@ -213,7 +208,7 @@ def check_J_bound(
     budget: int = DEFAULT_BUDGET,
 ) -> JBoundRecord:
     """Ratio record J/(#X)^s at the critical s = d(d+1)/2, optionally over an H sweep."""
-    _check_ds(d, 1)
+    _whole("d", d, 1)
     s = d * (d + 1) // 2
     entries: list[JBoundEntry] = []
     if elements is not None:
@@ -223,8 +218,7 @@ def check_J_bound(
     sweep: list[JBoundEntry] = []
     if H_values:
         for h in H_values:
-            if h < 1:
-                raise DomainError(f"H must be >= 1, got {h}")
+            _whole("H", h, 1)
             j = count_J(d, s, range(1, h + 1), budget)
             sweep.append(JBoundEntry(h, h, j, Fraction(j, h**s)))
         entries.extend(sweep)

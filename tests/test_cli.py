@@ -153,6 +153,12 @@ def test_lattice_prints_the_library_record(capsys, argv, record):
 def test_a_missing_input_is_refused_by_name(capsys, argv, line):
     assert _run(capsys, argv) == (2, "", f"error: {line}\n")
 
+@pytest.mark.parametrize("flag", ["--box", "--cross"])
+def test_an_empty_body_flag_is_read_not_taken_for_a_missing_one(capsys, flag):
+    argv = ["lattice", "minima", "--basis", "1,0;0,1", flag, ""]
+    assert _run(capsys, argv) == (2, "", "error: bad rational ''\n")
+
+
 def test_eqcount_eq(capsys):
     payload, _ = _run_json(
         capsys, ["eqcount", "eq", "--coeffs", "0,0,1", "--target", "3", "--H", "10"]
@@ -339,6 +345,9 @@ def test_domain_error_exit_code(capsys):
     # a zero or empty value is read, not taken for a missing flag
     ["charsum", "region", "--zeta", "1/3", "--xi", "1/3", "--d", "2", "--r", "0"],
     ["vinogradov", "--d", "2", "--s", "2", "--H", "3", "--shifts", ""],
+    ["verify", "--config", ""],
+    ["verify", "--out", ""],
+    ["lattice", "minima", "--basis", "1,0;0,1", "--box", ""],
 ])
 def test_parse_errors_exit_2_without_traceback(capsys, argv):
     rc, out, err = _run(capsys, argv)

@@ -52,6 +52,28 @@ def test_every_public_name_is_its_layers_object(name):
     assert vars(energia)[name] is obj  # bound on the package once resolved
 
 
+# the public API, written out: a name dropped from or added to `_HOMES` fails here
+PUBLIC = (
+    "AdmissibleRecord", "BilinearInstance", "BoundParams", "BudgetExceeded", "CharTable",
+    "DomainError", "DualBody", "EnergyReport", "EqCountResult", "IntLattice", "Interval",
+    "MinimaProfile", "PipelineCertificate", "PolyMod", "PowerSumVector", "RegimeParams",
+    "RepFunction", "SweepConfig", "SystemCount", "UnsupportedSize", "WeightedBox",
+    "admissible_exponents", "alpha_beta", "bilinear_W", "bilinear_energy_bound", "brute_congruence",
+    "bv_small_solutions", "char_eval", "check_J_bound", "complete_sum_poly", "congruence_lattice",
+    "count_I", "count_J", "count_Ts", "count_congruence", "count_eq", "count_lattice_points",
+    "count_symmetric_eq", "dual_lattice", "energy_T", "energy_cross", "energy_plus",
+    "energy_report", "energy_times", "fourth_moment_bound", "fourth_moment_crossover",
+    "fractional_measure", "hybrid_count_bound", "in_regime", "interval_energy_bound",
+    "mahler_basis", "minkowski_check", "parse_config", "point_count_record", "prime_bilinear_sum",
+    "regime_constant", "rep_function", "run_cell", "run_sweep", "set_energy_plus",
+    "set_energy_times", "successive_minima", "sumset_size", "transference_check", "xi_threshold",
+)
+
+
+def test_the_public_names_are_pinned():
+    assert tuple(energia.__all__) == PUBLIC
+
+
 def test_every_layer_is_its_module():
     for layer in LAYERS:
         assert getattr(energia, layer) is sys.modules[f"energia.{layer}"]

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from energia import charsum, energy, eqcount, lattice, vinogradov
+from energia import bounds, charsum, energy, eqcount, lattice, sweep, vinogradov
 from energia.ring import (
     BudgetExceeded,
     DomainError,
@@ -271,6 +271,26 @@ def test_bad_rationals_raise_domain_error(call):
     pytest.param(lambda: fourth_moment_crossover(2, 1), "modulus must be >= 2", id="crossover-m-1"),
     pytest.param(lambda: Factorization(0, ()), "zero has no factorization", id="factor-0"),
     pytest.param(lambda: Factorization(6, ((3, 1), (2, 1))), "primes must be strictly increasing", id="factor-order"),
+    # one rule for every degree, modulus and interval length: an int, not a bool, at its floor
+    pytest.param(lambda: bounds.fourth_moment_bound(0, 10, 5), "degree must be >= 2, got 0", id="fourth-d-0"),
+    pytest.param(lambda: bounds.hybrid_count_bound(-1, 10, 5, 3), "degree must be >= 2, got -1", id="hybrid-d-neg"),
+    pytest.param(lambda: bounds.interval_energy_bound(2.5, 10, 5), "degree must be an integer, got 2.5", id="energy-bound-d-float"),
+    pytest.param(lambda: xi_threshold(2.5, 1), "degree must be an integer, got 2.5", id="xi-d-float"),
+    pytest.param(lambda: fourth_moment_crossover(2.5, 10), "degree must be an integer, got 2.5", id="crossover-d-float"),
+    pytest.param(lambda: eqcount.regime_constant(2.5), "degree must be an integer, got 2.5", id="cap-d-float"),
+    pytest.param(lambda: energy.set_energy_plus([1, 2], 7.0), "modulus must be an integer, got 7.0", id="set-plus-m-float"),
+    pytest.param(lambda: energy.set_energy_times([1, 2], 7.0), "modulus must be an integer, got 7.0", id="set-times-m-float"),
+    pytest.param(lambda: energy.additive_stats([1, 2], 7.0), "modulus must be an integer, got 7.0", id="stats-m-float"),
+    pytest.param(lambda: energy.energy_cross([1], [2], 7.0), "modulus must be an integer, got 7.0", id="cross-m-float"),
+    pytest.param(lambda: lattice.congruence_lattice([1, 2], 7.5), "modulus must be an integer, got 7.5", id="congruence-m-float"),
+    pytest.param(lambda: eqcount.count_eq((0, 0, 1), 3, 2.5), "H must be an integer, got 2.5", id="count-eq-H-float"),
+    pytest.param(lambda: vinogradov.count_I(2, 2, 2.5, (0, 0)), "H must be an integer, got 2.5", id="count-I-H-float"),
+    pytest.param(lambda: eqcount.brute_congruence(PolyMod((0, 0, 1), 7), 1, 2.5), "H must be an integer, got 2.5", id="brute-H-float"),
+    pytest.param(lambda: eqcount.count_symmetric_eq((0, 0, 1), 2.5), "H must be an integer, got 2.5", id="sym-H-float"),
+    pytest.param(lambda: vinogradov.check_J_bound(2, H_values=(2.5,)), "H must be an integer, got 2.5", id="slope-H-float"),
+    pytest.param(lambda: charsum.BilinearInstance.uniform((1, 2), 2.5), "H must be an integer, got 2.5", id="uniform-H-float"),
+    pytest.param(lambda: sweep.run_cell(2, 0, 3, 0), "modulus must be >= 2, got 0", id="cell-m-0"),
+    pytest.param(lambda: eqcount.count_eq((0, 0, 1), 3, True), "H must be an integer, got True", id="count-eq-H-bool"),
 ])
 def test_invalid_inputs_raise_domain_error(call, message):
     with pytest.raises(DomainError, match=message):

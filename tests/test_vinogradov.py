@@ -234,6 +234,8 @@ def test_multisets_are_charged_as_the_last_layer(monkeypatch, fn, stage, args, p
 def test_one_element_set_answers_any_s_at_once():
     t0 = time.perf_counter()
     assert count_J(2, 2 * 10**7, [5]) == count_I(3, 10**6, 1, (0, 0, 0)) == 1
+    # at s = 1 a pair x_1 = y_1 is forced: |X| pairs, and no key is built
+    assert count_J(2, 1, range(1, 10**6 + 1)) == 10**6
     # T_s = c^(2s) for a histogram of one value taken c times, not s folds
     assert count_Ts(PolyMod((0, 1), 7), Interval(1), 10**9) == 1
     f = PolyMod((0, -1, 1), 2)  # x(x - 1) is 0 mod 2 at x = 1 and 2
